@@ -215,6 +215,77 @@ impl Column {
         col
     }
 
+    /// Concatenate same-typed columns into one fresh owned column: one
+    /// `extend_from_slice` per part and buffer (a string window copies its
+    /// byte arena once), validity kept aligned. Dense parts materialise as
+    /// OIDs. Panics on an empty `parts` or on mixed logical types.
+    pub fn concat(parts: &[Column]) -> Column {
+        let first = parts.first().expect("concat needs at least one part");
+        let total: usize = parts.iter().map(Column::len).sum();
+        fn mixed() -> ! {
+            panic!("concat of mixed column types")
+        }
+        let buf = match first.logical_type() {
+            LogicalType::Oid => {
+                let mut v = Vec::with_capacity(total);
+                for p in parts {
+                    match p.typed() {
+                        TypedSlice::Dense { start, len } => v.extend(start..start + len as u64),
+                        TypedSlice::Oid(s) => v.extend_from_slice(s),
+                        _ => mixed(),
+                    }
+                }
+                Buffer::Oid(Arc::new(v))
+            }
+            LogicalType::Int => Buffer::Int(Arc::new(concat_vec(parts, total, |t| match t {
+                TypedSlice::Int(s) => s,
+                _ => mixed(),
+            }))),
+            LogicalType::Float => Buffer::Float(Arc::new(concat_vec(parts, total, |t| match t {
+                TypedSlice::Float(s) => s,
+                _ => mixed(),
+            }))),
+            LogicalType::Date => Buffer::Date(Arc::new(concat_vec(parts, total, |t| match t {
+                TypedSlice::Date(s) => s,
+                _ => mixed(),
+            }))),
+            LogicalType::Bool => Buffer::Bool(Arc::new(concat_vec(parts, total, |t| match t {
+                TypedSlice::Bool(s) => s,
+                _ => mixed(),
+            }))),
+            LogicalType::Str => {
+                let windows: Vec<(&StrBuffer, usize, usize)> = parts
+                    .iter()
+                    .map(|p| match p.typed() {
+                        TypedSlice::Str { buf, offset, len } => (buf, offset, len),
+                        _ => mixed(),
+                    })
+                    .collect();
+                let bytes: usize = windows.iter().map(|(b, o, l)| b.range_bytes(*o, *l)).sum();
+                let mut out = StrBuffer::with_capacity(total, bytes.div_ceil(total.max(1)));
+                for (buf, offset, len) in windows {
+                    out.extend_from_range(buf, offset, len);
+                }
+                Buffer::Str(Arc::new(out))
+            }
+        };
+        let col = Column::from_buffer(buf);
+        if parts.iter().all(|p| p.validity.is_none()) {
+            return col;
+        }
+        let mut validity = Bitmap::new(total, true);
+        let mut base = 0;
+        for p in parts {
+            if p.validity.is_some() {
+                for i in (0..p.len).filter(|&i| !p.is_valid(i)) {
+                    validity.set(base + i, false);
+                }
+            }
+            base += p.len;
+        }
+        col.with_validity(validity)
+    }
+
     /// Check whether the visible values are non-decreasing (NULLs first).
     pub fn is_sorted(&self) -> bool {
         if self.len < 2 {
@@ -247,6 +318,19 @@ impl Column {
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len).map(move |i| self.value(i))
     }
+}
+
+/// The typed windows of `parts`, appended into one vector of `total` values.
+fn concat_vec<'a, T: Copy + 'a>(
+    parts: &'a [Column],
+    total: usize,
+    window: impl Fn(TypedSlice<'a>) -> &'a [T],
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(total);
+    for p in parts {
+        out.extend_from_slice(window(p.typed()));
+    }
+    out
 }
 
 /// Incremental builder for owned columns of a fixed logical type.
@@ -417,6 +501,53 @@ mod tests {
         assert_eq!(s.value(1), Value::Nil);
         assert_eq!(s.value(2), Value::Int(6));
         assert!(s.has_nulls());
+    }
+
+    #[test]
+    fn concat_keeps_windows_and_validity_aligned() {
+        let mut b = ColumnBuilder::new(LogicalType::Str);
+        for v in [
+            Value::str("a"),
+            Value::Nil,
+            Value::str("cc"),
+            Value::str("d"),
+        ] {
+            b.push(&v);
+        }
+        let strs = b.finish();
+        let tail = Column::from_strs(["e"]);
+        let c = Column::concat(&[strs.slice(1, 2), tail, strs.slice(0, 1)]);
+        assert!(!c.is_view());
+        assert_eq!(
+            c.iter_values().collect::<Vec<_>>(),
+            vec![
+                Value::Nil,
+                Value::str("cc"),
+                Value::str("e"),
+                Value::str("a")
+            ]
+        );
+        let mut b = ColumnBuilder::new(LogicalType::Int);
+        for v in [Value::Nil, Value::Int(2), Value::Int(3)] {
+            b.push(&v);
+        }
+        let ints = Column::concat(&[b.finish().slice(2, 1)]);
+        assert_eq!(ints.iter_values().collect::<Vec<_>>(), vec![Value::Int(3)]);
+        assert!(
+            ints.validity.is_none(),
+            "an all-valid result drops its bitmap"
+        );
+        let oids = Column::concat(&[Column::dense(7, 2), Column::from_oids(vec![1])]);
+        assert_eq!(
+            oids.iter_values().collect::<Vec<_>>(),
+            vec![Value::Oid(Oid(7)), Value::Oid(Oid(8)), Value::Oid(Oid(1))]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "concat of mixed column types")]
+    fn concat_rejects_mixed_types() {
+        Column::concat(&[Column::from_ints(vec![1]), Column::from_floats(vec![1.0])]);
     }
 
     #[test]

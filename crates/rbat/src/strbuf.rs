@@ -40,10 +40,33 @@ impl StrBuffer {
         b
     }
 
-    /// Append a string.
+    /// Append a string. Panics if the arena would outgrow `u32` offsets.
     pub fn push(&mut self, s: &str) {
+        let end = arena_offset(self.bytes.len() + s.len());
         self.bytes.extend_from_slice(s.as_bytes());
-        self.offsets.push(self.bytes.len() as u32);
+        self.offsets.push(end);
+    }
+
+    /// Append strings `[from, from + len)` of `src`: one copy of their
+    /// bytes, offsets rebased onto this arena. Panics if the arena would
+    /// outgrow `u32` offsets.
+    pub fn extend_from_range(&mut self, src: &StrBuffer, from: usize, len: usize) {
+        let src_offsets = &src.offsets[from..=from + len];
+        let (start, end) = (src_offsets[0] as usize, src_offsets[len] as usize);
+        let base = self.bytes.len();
+        // Checked once up front: every rebased offset is at most this one.
+        arena_offset(base + (end - start));
+        self.bytes.extend_from_slice(&src.bytes[start..end]);
+        self.offsets.extend(
+            src_offsets[1..]
+                .iter()
+                .map(|&o| (base + (o as usize - start)) as u32),
+        );
+    }
+
+    /// Arena bytes spanned by strings `[from, from + len)`.
+    pub fn range_bytes(&self, from: usize, len: usize) -> usize {
+        (self.offsets[from + len] - self.offsets[from]) as usize
     }
 
     /// Number of strings stored.
@@ -77,6 +100,14 @@ impl StrBuffer {
     }
 }
 
+/// An arena position as a stored offset; panics rather than letting an
+/// arena past 4 GiB wrap its offsets silently.
+fn arena_offset(pos: usize) -> u32 {
+    u32::try_from(pos).unwrap_or_else(|_| {
+        panic!("string arena of {pos} bytes exceeds the 4 GiB reach of u32 offsets")
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,6 +130,27 @@ mod tests {
         let b = StrBuffer::from_iter(src.iter().copied());
         let back: Vec<&str> = b.iter().collect();
         assert_eq!(back, src);
+    }
+
+    #[test]
+    fn extend_from_range_rebases_offsets() {
+        let src = StrBuffer::from_iter(["skip", "", "wörld", "xy", "tail"]);
+        let mut b = StrBuffer::from_iter(["pre"]);
+        b.extend_from_range(&src, 1, 3);
+        assert_eq!(b.iter().collect::<Vec<_>>(), ["pre", "", "wörld", "xy"]);
+        assert_eq!(b.range_bytes(1, 3), src.range_bytes(1, 3));
+        b.extend_from_range(&src, 4, 1);
+        b.extend_from_range(&src, 0, 0);
+        assert_eq!(b.len(), 5);
+        assert_eq!(b.get(4), "tail");
+        assert_eq!(b.byte_size(), "prewörldxytail".len() + 6 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 4 GiB reach of u32 offsets")]
+    fn arena_offsets_never_wrap() {
+        assert_eq!(arena_offset(u32::MAX as usize), u32::MAX);
+        arena_offset(u32::MAX as usize + 1);
     }
 
     #[test]
