@@ -66,7 +66,7 @@ impl Table {
 /// when the key repeats — or to NULL when none does.
 ///
 /// A commit to either table maintains the index incrementally, at the
-/// cost of one typed pass over the index plus hash probes for the delta's
+/// cost of typed passes over the index plus hash probes for the delta's
 /// keys (see [`Catalog::commit`]); a self-referencing index
 /// (`from_table == to_table`) is rebuilt from scratch.
 #[derive(Debug, Clone)]
@@ -224,8 +224,8 @@ impl Catalog {
 
     /// The post-commit value of index `def` given its pre-commit BAT
     /// `old`, equal to a [`Catalog::build_index`] over the post-commit
-    /// tables but costing one pass over `old` plus probes for the delta's
-    /// keys. Runs after `edit`'s table has its new columns.
+    /// tables but costing typed passes over `old` plus probes for the
+    /// delta's keys. Runs after `edit`'s table has its new columns.
     fn maintain_index(&self, def: &JoinIndexDef, old: &Column, edit: &Edit) -> Result<Arc<Bat>> {
         if def.from_table == def.to_table {
             return self.build_index(def);
@@ -242,34 +242,42 @@ impl Catalog {
             };
             splice(old, &edit.runs, fresh.as_ref())
         } else {
-            // Referenced side: only keys of deleted or inserted rows can
-            // change target; they are resolved against the post-commit
-            // table. Every other match shifts down by the deletions
-            // before it, and every other NULL stays NULL.
-            let deleted_rows: Vec<u32> = edit
-                .deleted
-                .iter()
-                .map(|&o| u32::try_from(o).expect("row ids fit the u32 gather index"))
-                .collect();
-            let old_to = edit.old_columns[&def.to_key].tail().gather(&deleted_rows);
+            // Referenced side: a key held by an inserted row now points at
+            // the last such row. A key whose old target was deleted falls
+            // back to the last surviving row holding it, if any. Every
+            // other match shifts down by the deletions before it, and
+            // every other NULL stays NULL.
+            let to = self.bind(&def.to_table, &def.to_key)?;
             let mut targets: FxHashMap<u64, Option<u64>> = FxHashMap::default();
-            for k in index_keys(&old_to)?.into_iter().flatten() {
-                targets.insert(k, None);
-            }
             if let Some(ins) = edit.inserted(&def.to_key) {
-                for k in index_keys(ins)?.into_iter().flatten() {
-                    targets.insert(k, None);
+                let base = to.len() - ins.len();
+                for (j, k) in index_keys(ins)?.into_iter().enumerate() {
+                    if let Some(k) = k {
+                        targets.insert(k, Some((base + j) as u64));
+                    }
                 }
             }
-            resolve_last(self.bind(&def.to_table, &def.to_key)?.tail(), &mut targets)?;
             let fks = index_keys(self.bind(&def.from_table, &def.from_column)?.tail())?;
             let old_targets = old.typed();
+            let old_target = |i: usize| old_targets.oid_at(i).filter(|_| old.is_valid(i));
+            let mut lost: FxHashMap<u64, Option<u64>> = FxHashMap::default();
+            for (i, k) in fks.iter().enumerate() {
+                if let (Some(k), Some(o)) = (*k, old_target(i)) {
+                    if edit.deleted.binary_search(&o).is_ok() {
+                        lost.insert(k, None);
+                    }
+                }
+            }
+            if !lost.is_empty() {
+                resolve_last(to.tail(), &mut lost)?;
+                targets.extend(lost);
+            }
             oid_column(fks.iter().enumerate().map(|(i, k)| {
                 let k = (*k)?;
                 match targets.get(&k) {
                     Some(&t) => t,
                     None => {
-                        let o = old_targets.oid_at(i).filter(|_| old.is_valid(i))?;
+                        let o = old_target(i)?;
                         Some(o - edit.deleted.partition_point(|&d| d < o) as u64)
                     }
                 }
@@ -316,8 +324,10 @@ impl Catalog {
     /// Cost: O(delta) value work plus typed memory copies. Each column is
     /// spliced from zero-copy windows of its surviving runs and the
     /// inserted rows, one `extend_from_slice` per window. Each dependent
-    /// join index costs one typed pass over it plus a scan of the
-    /// referenced key column probing only the delta's keys; a
+    /// join index costs typed passes over it plus hash probes against
+    /// only the delta's keys: on the referencing side the referenced key
+    /// column is scanned once for the inserted foreign keys, on the
+    /// referenced side only when a deleted row was some key's target. A
     /// self-referencing index is rebuilt. Every committed column and
     /// maintained index gets a fresh BAT identity; nothing else does.
     pub fn commit(&mut self, table: &str) -> Result<CommitReport> {
@@ -365,7 +375,6 @@ impl Catalog {
             table,
             runs: survivor_runs(t.nrows, &deleted),
             deleted,
-            old_columns: t.columns.clone(),
             inserted: &inserted,
         };
         for (cname, old) in t.columns.iter_mut() {
@@ -430,8 +439,6 @@ struct Edit<'a> {
     deleted: Vec<u64>,
     /// Maximal `(from, len)` runs of surviving rows.
     runs: Vec<(usize, usize)>,
-    /// The table's pre-commit columns.
-    old_columns: BTreeMap<String, Arc<Bat>>,
     /// Per-column BATs of the inserted rows (empty when none).
     inserted: &'a [(String, Arc<Bat>)],
 }
@@ -687,6 +694,8 @@ mod tests {
         ids
     }
 
+    /// A fast smoke test of the identity rule; the commit oracle in
+    /// `tests/commit_oracle.rs` checks it after every random commit.
     #[test]
     fn commit_reidentifies_only_what_it_touches() {
         let mut cat = orders_lineitem();
