@@ -56,7 +56,39 @@ fn bench_join(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("semijoin", n), &n, |bench, _| {
             bench.iter(|| ops::semijoin(black_box(&l), black_box(&r_hash)).unwrap())
         });
+        // Keys spread over the whole u64 range: the span rules out the
+        // compact slot map, so the build hashes.
+        let spread = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let l_sparse = Bat::new(
+            Column::from_oids((0..n as u64).collect()),
+            Column::from_oids((0..n as u64).map(|i| spread((i * 7) % n as u64)).collect()),
+            Props::default(),
+        );
+        let r_sparse = Bat::new(
+            Column::from_oids((0..n as u64).rev().map(spread).collect()),
+            Column::from_ints((0..n as i64).collect()),
+            Props::default(),
+        );
+        g.bench_with_input(BenchmarkId::new("hash_sparse", n), &n, |bench, _| {
+            bench.iter(|| ops::join(black_box(&l_sparse), black_box(&r_sparse)).unwrap())
+        });
     }
+    // The foreign-key filter of TPC-H plans: a 60k-row join index,
+    // reversed so its targets (25 nations) are the head, semijoined with
+    // the 22 nations a selection kept.
+    let index = Bat::from_tail(Column::from_oids(
+        (0..60_000u64).map(|i| (i * 7) % 25).collect(),
+    ));
+    let fk = index.reverse();
+    let kept = Bat::new(
+        Column::from_oids((0..25).filter(|k| k % 8 != 3).collect()),
+        Column::from_ints(vec![0; 22]),
+        Props::default(),
+    );
+    assert_eq!(kept.len(), 22);
+    g.bench_function("fk_filter", |bench| {
+        bench.iter(|| ops::semijoin(black_box(&fk), black_box(&kept)).unwrap())
+    });
     g.finish();
 }
 

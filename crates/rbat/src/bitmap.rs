@@ -72,6 +72,25 @@ impl Bitmap {
         self.count_ones() == self.len
     }
 
+    /// Are all bits in `[from, to)` set? Word-wise: masked end words and
+    /// whole middle words, never bit by bit.
+    pub fn all_set_in(&self, from: usize, to: usize) -> bool {
+        debug_assert!(from <= to && to <= self.len);
+        if from == to {
+            return true;
+        }
+        let (first, last) = (from / 64, (to - 1) / 64);
+        let lead = u64::MAX << (from % 64);
+        let trail = u64::MAX >> (63 - (to - 1) % 64);
+        if first == last {
+            let mask = lead & trail;
+            return self.words[first] & mask == mask;
+        }
+        self.words[first] & lead == lead
+            && self.words[first + 1..last].iter().all(|&w| w == u64::MAX)
+            && self.words[last] & trail == trail
+    }
+
     /// Append a bit, growing the bitmap by one.
     pub fn push(&mut self, value: bool) {
         if self.len.is_multiple_of(64) {
@@ -131,6 +150,20 @@ mod tests {
         }
         assert_eq!(bm.len(), 200);
         assert_eq!(bm.count_ones(), (0..200).filter(|i| i % 3 == 0).count());
+    }
+
+    #[test]
+    fn all_set_in_matches_bitwise() {
+        let mut bm = Bitmap::new(200, true);
+        for hole in [0usize, 63, 64, 130, 199] {
+            bm.set(hole, false);
+        }
+        for from in 0..200 {
+            for to in from..=200 {
+                let expect = (from..to).all(|i| bm.get(i));
+                assert_eq!(bm.all_set_in(from, to), expect, "[{from}, {to})");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::column::{Column, ColumnBuilder};
 use crate::delta::{Row, TableDelta};
 use crate::error::{BatError, Result};
 use crate::hash::FxHashMap;
-use crate::ops::u64_keys;
+use crate::ops::visit_keys;
 use crate::types::{LogicalType, Value};
 
 /// A persistent table: one BAT per column, all with identical dense heads.
@@ -218,7 +218,7 @@ impl Catalog {
     fn build_index(&self, def: &JoinIndexDef) -> Result<Arc<Bat>> {
         let from = self.bind(&def.from_table, &def.from_column)?;
         let to = self.bind(&def.to_table, &def.to_key)?;
-        let tail = lookup(&index_keys(from.tail())?, to.tail())?;
+        let tail = lookup(from.tail(), to.tail())?;
         Ok(Arc::new(Bat::from_tail(tail)))
     }
 
@@ -234,10 +234,7 @@ impl Catalog {
             // Referencing side: surviving entries keep their targets (the
             // referenced table is unchanged); inserted rows look theirs up.
             let fresh = match edit.inserted(&def.from_column) {
-                Some(ins) => Some(lookup(
-                    &index_keys(ins)?,
-                    self.bind(&def.to_table, &def.to_key)?.tail(),
-                )?),
+                Some(ins) => Some(lookup(ins, self.bind(&def.to_table, &def.to_key)?.tail())?),
                 None => None,
             };
             splice(old, &edit.runs, fresh.as_ref())
@@ -251,37 +248,35 @@ impl Catalog {
             let mut targets: FxHashMap<u64, Option<u64>> = FxHashMap::default();
             if let Some(ins) = edit.inserted(&def.to_key) {
                 let base = to.len() - ins.len();
-                for (j, k) in index_keys(ins)?.into_iter().enumerate() {
+                index_keys(ins, |j, k| {
                     if let Some(k) = k {
                         targets.insert(k, Some((base + j) as u64));
                     }
-                }
+                })?;
             }
-            let fks = index_keys(self.bind(&def.from_table, &def.from_column)?.tail())?;
+            let from = self.bind(&def.from_table, &def.from_column)?;
+            let fks = from.tail();
             let old_targets = old.typed();
             let old_target = |i: usize| old_targets.oid_at(i).filter(|_| old.is_valid(i));
             let mut lost: FxHashMap<u64, Option<u64>> = FxHashMap::default();
-            for (i, k) in fks.iter().enumerate() {
-                if let (Some(k), Some(o)) = (*k, old_target(i)) {
+            index_keys(fks, |i, k| {
+                if let (Some(k), Some(o)) = (k, old_target(i)) {
                     if edit.deleted.binary_search(&o).is_ok() {
                         lost.insert(k, None);
                     }
                 }
-            }
+            })?;
             if !lost.is_empty() {
                 resolve_last(to.tail(), &mut lost)?;
                 targets.extend(lost);
             }
-            oid_column(fks.iter().enumerate().map(|(i, k)| {
-                let k = (*k)?;
-                match targets.get(&k) {
-                    Some(&t) => t,
-                    None => {
-                        let o = old_target(i)?;
-                        Some(o - edit.deleted.partition_point(|&d| d < o) as u64)
-                    }
+            oid_column(fks, |i, k| match targets.get(&k) {
+                Some(&t) => t,
+                None => {
+                    let o = old_target(i)?;
+                    Some(o - edit.deleted.partition_point(|&d| d < o) as u64)
                 }
-            }))
+            })?
         };
         Ok(Arc::new(Bat::from_tail(tail)))
     }
@@ -480,44 +475,53 @@ fn splice(old: &Column, runs: &[(usize, usize)], appended: Option<&Column>) -> C
     Column::concat(&parts)
 }
 
-/// Join-index keys of a column (NULL → `None`); string keys are rejected.
-fn index_keys(col: &Column) -> Result<Vec<Option<u64>>> {
-    u64_keys(col)
-        .ok_or_else(|| BatError::type_mismatch("join_index", "string keys unsupported for indices"))
+/// Visit the keys of a join-index column (see [`visit_keys`]); string
+/// keys are rejected.
+fn index_keys(col: &Column, f: impl FnMut(usize, Option<u64>)) -> Result<()> {
+    if visit_keys(col, f) {
+        Ok(())
+    } else {
+        Err(BatError::type_mismatch(
+            "join_index",
+            "string keys unsupported for indices",
+        ))
+    }
 }
 
 /// Point every key of `targets` at the last row of `keys` holding it.
 fn resolve_last(keys: &Column, targets: &mut FxHashMap<u64, Option<u64>>) -> Result<()> {
-    for (i, k) in index_keys(keys)?.iter().enumerate() {
+    index_keys(keys, |i, k| {
         if let Some(slot) = k.and_then(|k| targets.get_mut(&k)) {
             *slot = Some(i as u64);
         }
-    }
-    Ok(())
+    })
 }
 
-/// The index tail for foreign keys `fks` into the key column `keys`.
-fn lookup(fks: &[Option<u64>], keys: &Column) -> Result<Column> {
-    let mut targets: FxHashMap<u64, Option<u64>> =
-        fks.iter().flatten().map(|&k| (k, None)).collect();
+/// The index tail for the foreign keys `fks` into the key column `keys`.
+fn lookup(fks: &Column, keys: &Column) -> Result<Column> {
+    let mut targets: FxHashMap<u64, Option<u64>> = FxHashMap::default();
+    index_keys(fks, |_, k| {
+        if let Some(k) = k {
+            targets.insert(k, None);
+        }
+    })?;
     resolve_last(keys, &mut targets)?;
-    Ok(oid_column(fks.iter().map(|k| k.and_then(|k| targets[&k]))))
+    oid_column(fks, |_, k| targets[&k])
 }
 
-/// An index tail from per-row targets; a NULL stores 0, as a
+/// An index tail with one entry per row `i` of `fks`: `target(i, key)`,
+/// or NULL where the key is NULL or has no target. A NULL stores 0, as a
 /// [`ColumnBuilder`] would.
-fn oid_column(targets: impl ExactSizeIterator<Item = Option<u64>>) -> Column {
-    let mut valid = Bitmap::new(targets.len(), true);
-    let oids = targets
-        .enumerate()
-        .map(|(i, t)| {
-            t.unwrap_or_else(|| {
-                valid.set(i, false);
-                0
-            })
-        })
-        .collect();
-    Column::from_oids(oids).with_validity(valid)
+fn oid_column(fks: &Column, mut target: impl FnMut(usize, u64) -> Option<u64>) -> Result<Column> {
+    let mut valid = Bitmap::new(fks.len(), true);
+    let mut oids = Vec::with_capacity(fks.len());
+    index_keys(fks, |i, k| {
+        oids.push(k.and_then(|k| target(i, k)).unwrap_or_else(|| {
+            valid.set(i, false);
+            0
+        }));
+    })?;
+    Ok(Column::from_oids(oids).with_validity(valid))
 }
 
 /// An epoch-style bind snapshot over a shared catalog: many reader

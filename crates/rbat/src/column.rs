@@ -113,7 +113,7 @@ impl Column {
     pub fn has_nulls(&self) -> bool {
         match &self.validity {
             None => false,
-            Some(bm) => (self.offset..self.offset + self.len).any(|i| !bm.get(i)),
+            Some(bm) => !bm.all_set_in(self.offset, self.offset + self.len),
         }
     }
 
@@ -501,6 +501,40 @@ mod tests {
         assert_eq!(s.value(1), Value::Nil);
         assert_eq!(s.value(2), Value::Int(6));
         assert!(s.has_nulls());
+    }
+
+    #[test]
+    fn has_nulls_sees_only_the_window() {
+        // NULLs at 5 and 130; windows start off word boundaries.
+        let mut b = ColumnBuilder::new(LogicalType::Int);
+        for i in 0..200 {
+            b.push(&if i == 5 || i == 130 {
+                Value::Nil
+            } else {
+                Value::Int(i)
+            });
+        }
+        let c = b.finish();
+        assert!(c.has_nulls());
+        assert!(
+            !c.slice(6, 124).has_nulls(),
+            "NULLs only outside the window"
+        );
+        assert!(!c.slice(131, 69).has_nulls());
+        assert!(!c.slice(7, 0).has_nulls());
+        assert!(c.slice(3, 3).has_nulls(), "NULL inside a one-word window");
+        assert!(c.slice(70, 61).has_nulls(), "NULL on the window's last row");
+        assert!(c.slice(5, 1).has_nulls());
+        assert!(
+            c.slice(1, 150).has_nulls(),
+            "NULLs inside a multi-word window"
+        );
+        for from in 0..200 {
+            for len in [0, 1, 63, 64, 65].into_iter().filter(|&l| from + l <= 200) {
+                let s = c.slice(from, len);
+                assert_eq!(s.has_nulls(), (0..len).any(|i| !s.is_valid(i)));
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Grouping and grouped aggregation.
 
 use crate::bat::Bat;
-use crate::buffer::TypedSlice;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{BatError, Result};
 use crate::hash::FxHashMap;
-use crate::ops::u64_keys;
+use crate::ops::{visit_keys, visit_str_keys};
 use crate::props::Props;
 use crate::types::{LogicalType, Value};
 
@@ -39,7 +38,7 @@ impl GroupMap {
 /// `b.tail` as a detached, cacheable [`GroupMap`].
 pub fn group_build(b: &Bat) -> Result<GroupMap> {
     Ok(GroupMap {
-        gids: group_ids(b.tail())?,
+        gids: group_ids(b.tail()),
     })
 }
 
@@ -89,17 +88,19 @@ pub fn group_refine(g: &Bat, b: &Bat) -> Result<Bat> {
             right: b.len(),
         });
     }
-    let prev = u64_keys(g.tail())
-        .ok_or_else(|| BatError::type_mismatch("group_refine", "group ids must be oids"))?;
-    let vals = group_ids(b.tail())?;
+    let vals = group_ids(b.tail());
     let mut table: FxHashMap<(u64, u64), u64> = FxHashMap::default();
     let mut out: Vec<u64> = Vec::with_capacity(g.len());
-    for i in 0..g.len() {
-        let p = prev[i].unwrap_or(u64::MAX);
-        let key = (p, vals[i]);
+    let oids = visit_keys(g.tail(), |i, p| {
+        let key = (p.unwrap_or(u64::MAX), vals[i]);
         let next = table.len() as u64;
-        let gid = *table.entry(key).or_insert(next);
-        out.push(gid);
+        out.push(*table.entry(key).or_insert(next));
+    });
+    if !oids {
+        return Err(BatError::type_mismatch(
+            "group_refine",
+            "group ids must be oids",
+        ));
     }
     Ok(Bat::new(
         g.head().clone(),
@@ -112,39 +113,23 @@ pub fn group_refine(g: &Bat, b: &Bat) -> Result<Bat> {
     ))
 }
 
-fn group_ids(tail: &Column) -> Result<Vec<u64>> {
+fn group_ids(tail: &Column) -> Vec<u64> {
+    // A NULL key takes the shared sentinel, remapped to a real id after.
     let mut out: Vec<u64> = Vec::with_capacity(tail.len());
-    match tail.typed() {
-        TypedSlice::Str { buf, offset, len } => {
-            let mut table: FxHashMap<&str, u64> = FxHashMap::default();
-            for i in 0..len {
-                let next = table.len() as u64;
-                let gid = if tail.is_valid(i) {
-                    *table.entry(buf.get(offset + i)).or_insert(next)
-                } else {
-                    u64::MAX // NULL group: shared sentinel refined below
-                };
-                out.push(gid);
-            }
-            // remap sentinel to a real group id if present
-            remap_sentinel(&mut out);
-        }
-        _ => {
-            let keys = u64_keys(tail)
-                .ok_or_else(|| BatError::type_mismatch("group", "unsupported tail type"))?;
-            let mut table: FxHashMap<u64, u64> = FxHashMap::default();
-            for key in keys {
-                let next = table.len() as u64;
-                let gid = match key {
-                    Some(k) => *table.entry(k).or_insert(next),
-                    None => u64::MAX,
-                };
-                out.push(gid);
-            }
-            remap_sentinel(&mut out);
-        }
+    let mut nums: FxHashMap<u64, u64> = FxHashMap::default();
+    let mut strs: FxHashMap<&[u8], u64> = FxHashMap::default();
+    let fixed_width = visit_keys(tail, |_, k| {
+        let next = nums.len() as u64;
+        out.push(k.map_or(u64::MAX, |k| *nums.entry(k).or_insert(next)));
+    });
+    if !fixed_width {
+        visit_str_keys(tail, |_, k| {
+            let next = strs.len() as u64;
+            out.push(k.map_or(u64::MAX, |k| *strs.entry(k).or_insert(next)));
+        });
     }
-    Ok(out)
+    remap_sentinel(&mut out);
+    out
 }
 
 fn remap_sentinel(gids: &mut [u64]) {
@@ -161,15 +146,13 @@ fn remap_sentinel(gids: &mut [u64]) {
 
 /// Number of distinct groups in a group-id BAT produced by [`group`].
 pub fn num_groups(g: &Bat) -> usize {
-    match u64_keys(g.tail()) {
-        Some(keys) => keys
-            .iter()
-            .flatten()
-            .max()
-            .map(|&m| m as usize + 1)
-            .unwrap_or(0),
-        None => 0,
-    }
+    let mut n = 0;
+    visit_keys(g.tail(), |_, gid| {
+        if let Some(gid) = gid {
+            n = n.max(gid as usize + 1);
+        }
+    });
+    n
 }
 
 /// Aggregate function selector for [`grp_aggr`] and [`super::aggr`].
@@ -198,33 +181,37 @@ pub fn grp_aggr(values: &Bat, groups: &Bat, func: GrpFunc) -> Result<Bat> {
             right: groups.len(),
         });
     }
-    let gids = u64_keys(groups.tail())
-        .ok_or_else(|| BatError::type_mismatch("grp_aggr", "group ids must be oids"))?;
+    if groups.tail_type() == LogicalType::Str {
+        return Err(BatError::type_mismatch(
+            "grp_aggr",
+            "group ids must be oids",
+        ));
+    }
     let n = num_groups(groups);
     match func {
         GrpFunc::Count => {
             let mut counts = vec![0i64; n];
-            for (i, gid) in gids.iter().enumerate() {
+            visit_keys(groups.tail(), |i, gid| {
                 if let Some(g) = gid {
                     if values.tail().is_valid(i) {
-                        counts[*g as usize] += 1;
+                        counts[g as usize] += 1;
                     }
                 }
-            }
+            });
             Ok(Bat::from_tail(Column::from_ints(counts)))
         }
         GrpFunc::Sum | GrpFunc::Avg => {
             let mut sums = vec![0f64; n];
             let mut counts = vec![0i64; n];
             let int_input = values.tail_type() == LogicalType::Int;
-            for (i, gid) in gids.iter().enumerate() {
+            visit_keys(groups.tail(), |i, gid| {
                 if let Some(g) = gid {
                     if let Some(x) = values.tail().value(i).as_float() {
-                        sums[*g as usize] += x;
-                        counts[*g as usize] += 1;
+                        sums[g as usize] += x;
+                        counts[g as usize] += 1;
                     }
                 }
-            }
+            });
             if func == GrpFunc::Avg {
                 let avgs: Vec<f64> = sums
                     .iter()
@@ -242,13 +229,13 @@ pub fn grp_aggr(values: &Bat, groups: &Bat, func: GrpFunc) -> Result<Bat> {
         }
         GrpFunc::Min | GrpFunc::Max => {
             let mut best: Vec<Value> = vec![Value::Nil; n];
-            for (i, gid) in gids.iter().enumerate() {
+            visit_keys(groups.tail(), |i, gid| {
                 if let Some(g) = gid {
                     let v = values.tail().value(i);
                     if v.is_nil() {
-                        continue;
+                        return;
                     }
-                    let slot = &mut best[*g as usize];
+                    let slot = &mut best[g as usize];
                     let replace = match slot.cmp_same(&v) {
                         None => true, // slot is Nil
                         Some(ord) => {
@@ -260,7 +247,7 @@ pub fn grp_aggr(values: &Bat, groups: &Bat, func: GrpFunc) -> Result<Bat> {
                         *slot = v;
                     }
                 }
-            }
+            });
             let ty = values.tail_type();
             let mut cb = ColumnBuilder::new(ty);
             for v in &best {
@@ -281,17 +268,18 @@ pub fn grp_first(values: &Bat, groups: &Bat) -> Result<Bat> {
             right: groups.len(),
         });
     }
-    let gids = u64_keys(groups.tail())
-        .ok_or_else(|| BatError::type_mismatch("grp_first", "group ids must be oids"))?;
     let n = num_groups(groups);
     let mut first: Vec<Option<u32>> = vec![None; n];
-    for (i, gid) in gids.iter().enumerate() {
+    let oids = visit_keys(groups.tail(), |i, gid| {
         if let Some(g) = gid {
-            let slot = &mut first[*g as usize];
-            if slot.is_none() {
-                *slot = Some(i as u32);
-            }
+            first[g as usize].get_or_insert(i as u32);
         }
+    });
+    if !oids {
+        return Err(BatError::type_mismatch(
+            "grp_first",
+            "group ids must be oids",
+        ));
     }
     let idx: Vec<u32> = first.iter().map(|s| s.unwrap_or(0)).collect();
     let tail = values.tail().gather(&idx);

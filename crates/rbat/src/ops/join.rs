@@ -1,177 +1,335 @@
 //! Join operators: natural join on `l.tail == r.head`, semijoin and
 //! anti-semijoin (difference) on head OIDs.
+//!
+//! # Kernel selection
+//!
+//! Every kernel reads its keys through the zero-allocation visitors
+//! ([`visit_keys`], [`visit_str_keys`]). The choice between kernels
+//! depends only on the inputs' key span against their row counts. That is
+//! a property of the data, so there is no knob.
+//!
+//! * **Join** (`l.tail == r.head`, build side `r`):
+//!   * a dense `r.head` is a *fetch join*: a key is its own build row, so
+//!     there is no table at all;
+//!   * otherwise the build is a CSR table: each key maps to a slot, and
+//!     slot `s`'s build rows are `rows[offsets[s]..offsets[s + 1]]`, in
+//!     ascending order. The key→slot map is `key − lo` when the key span
+//!     is at most [`COMPACT_SPAN`] times the row count (an offsets array
+//!     costs less than a hash map there, and a probe is a subtraction),
+//!     and an `FxHashMap<u64, u32>` otherwise. String keys are copied
+//!     into one arena and found by linear probing. No key owns a `Vec`.
+//! * **Semijoin / diff** (membership of `l.head` among `r.head`):
+//!   * a dense `r.head` is a range check;
+//!   * `r`'s keys spanning at most [`BITMAP_SPAN`] times `|l| + |r|`
+//!     are a bitmap over `[min, max]`: ≤ 4 bytes per input row, one
+//!     word test per probe;
+//!   * otherwise an `FxHashSet`.
+//!
+//! Semantics are the same on every path: NULL keys match nothing (so
+//! `diff` drops NULL-head rows too), float keys compare by `to_bits`, a
+//! semijoin keeps `l`'s order, and a join emits `l`'s order, then build
+//! order within a key.
+
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 use crate::bat::Bat;
+use crate::bitmap::Bitmap;
 use crate::buffer::TypedSlice;
+use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::ops::u64_keys;
+use crate::hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::ops::{visit_keys, visit_str_keys};
 use crate::props::Props;
+use crate::strbuf::StrBuffer;
+use crate::types::LogicalType;
+
+/// A join build takes the compact `key − lo` slot map when its keys span
+/// at most this many slots per build row.
+const COMPACT_SPAN: u64 = 4;
+
+/// Semijoin membership is a bitmap when `r`'s keys span at most this many
+/// bits per row of `|l| + |r|`.
+const BITMAP_SPAN: u64 = 32;
 
 /// Exported build side of a hash join: the lookup structure over `r.head`,
 /// detached from the borrow of `r` so it can be cached and re-imported by a
-/// later probe (operator-state recycling). Keys are owned — string tables
-/// copy their keys out of the build BAT's string buffer.
+/// later probe (operator-state recycling). String tables copy their keys
+/// out of the build BAT's string buffer into one arena.
 #[derive(Debug)]
-pub enum JoinBuild {
+pub struct JoinBuild(Build);
+
+#[derive(Debug)]
+enum Build {
     /// `r.head` is dense: a fetch join needs no table, only the range.
-    Dense {
-        /// First OID of the dense head.
-        start: u64,
-        /// Number of tuples under the dense head.
-        len: usize,
-    },
-    /// Fixed-width keys hashed as `u64` words (NULL build rows excluded).
-    Num(FxHashMap<u64, Vec<u32>>),
-    /// String keys, owned (NULL build rows excluded).
-    Str(FxHashMap<String, Vec<u32>>),
+    Dense { start: u64, len: usize },
+    /// Fixed-width keys (NULL build rows excluded).
+    Num { slots: NumSlots, csr: Csr },
+    /// String keys (NULL build rows excluded).
+    Str { slots: StrSlots, csr: Csr },
 }
 
 impl JoinBuild {
-    /// Approximate heap footprint, for pool byte accounting.
+    /// Heap footprint, for pool byte accounting.
     pub fn byte_size(&self) -> usize {
-        match self {
-            JoinBuild::Dense { .. } => 16,
-            JoinBuild::Num(t) => t
-                .values()
-                .map(|v| 8 + std::mem::size_of::<Vec<u32>>() + v.len() * 4)
-                .sum::<usize>(),
-            JoinBuild::Str(t) => t
-                .iter()
-                .map(|(k, v)| k.len() + std::mem::size_of::<(String, Vec<u32>)>() + v.len() * 4)
-                .sum::<usize>(),
+        match &self.0 {
+            Build::Dense { .. } => 16,
+            Build::Num { slots, csr } => slots.byte_size() + csr.byte_size(),
+            Build::Str { slots, csr } => slots.byte_size() + csr.byte_size(),
         }
     }
 }
 
-/// Build half of [`join`]: construct the hash table (or dense descriptor)
+/// Marks a build row without a slot (a NULL key).
+const NO_SLOT: u32 = u32::MAX;
+
+/// Build rows grouped by key slot: slot `s` owns
+/// `rows[offsets[s]..offsets[s + 1]]`, in ascending row order.
+#[derive(Debug)]
+struct Csr {
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Csr {
+    /// Counting sort of the rows `j` by `row_slots[j]` over `nslots` slots;
+    /// rows marked [`NO_SLOT`] are left out.
+    fn new(row_slots: &[u32], nslots: usize) -> Csr {
+        let mut offsets = vec![0u32; nslots + 1];
+        for &s in row_slots.iter().filter(|&&s| s != NO_SLOT) {
+            offsets[s as usize] += 1;
+        }
+        let mut total = 0;
+        for o in &mut offsets {
+            (*o, total) = (total, total + *o);
+        }
+        // Filling moves each slot's start to its end, which is the next
+        // slot's start; shift right by one to restore the starts.
+        let mut rows = vec![0u32; total as usize];
+        for (j, &s) in row_slots.iter().enumerate().filter(|(_, &s)| s != NO_SLOT) {
+            let o = &mut offsets[s as usize];
+            rows[*o as usize] = j as u32;
+            *o += 1;
+        }
+        offsets.copy_within(0..nslots, 1);
+        offsets[0] = 0;
+        Csr { offsets, rows }
+    }
+
+    /// The build rows under `slot`.
+    #[inline]
+    fn rows(&self, slot: usize) -> &[u32] {
+        &self.rows[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+
+    fn byte_size(&self) -> usize {
+        (self.offsets.len() + self.rows.len()) * 4
+    }
+}
+
+/// Fixed-width key → slot.
+#[derive(Debug)]
+enum NumSlots {
+    /// `slot = key − lo` for keys in `[lo, lo + span)`.
+    Compact { lo: u64, span: u64 },
+    /// Slots in order of first appearance.
+    Hash(FxHashMap<u64, u32>),
+}
+
+impl NumSlots {
+    fn byte_size(&self) -> usize {
+        match self {
+            NumSlots::Compact { .. } => 16,
+            NumSlots::Hash(map) => map.capacity() * (std::mem::size_of::<(u64, u32)>() + 1),
+        }
+    }
+}
+
+/// String key → slot: the distinct keys in one arena, slot `s` being arena
+/// string `s`, found by linear probing over power-of-two `buckets` that
+/// hold `slot + 1` (0 marks an empty bucket).
+#[derive(Debug)]
+struct StrSlots {
+    keys: StrBuffer,
+    buckets: Vec<u32>,
+}
+
+impl StrSlots {
+    fn with_capacity(n: usize) -> StrSlots {
+        StrSlots {
+            keys: StrBuffer::new(),
+            buckets: vec![0; (2 * n).next_power_of_two().max(2)],
+        }
+    }
+
+    /// The first bucket to probe for `key`: the hash's high bits, which
+    /// are its best-mixed ones.
+    #[inline]
+    fn home(&self, key: &[u8]) -> usize {
+        let h = BuildHasherDefault::<FxHasher>::default().hash_one(key);
+        (h >> (64 - self.buckets.len().trailing_zeros())) as usize
+    }
+
+    /// The bucket holding `key`, or the empty bucket where it belongs.
+    #[inline]
+    fn bucket(&self, key: &[u8]) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(key);
+        loop {
+            match self.buckets[b] {
+                0 => return b,
+                s if self.keys.get_bytes(s as usize - 1) == key => return b,
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, key: &[u8]) -> Option<usize> {
+        self.buckets[self.bucket(key)]
+            .checked_sub(1)
+            .map(|s| s as usize)
+    }
+
+    /// The slot of string `i` of `buf`, copied in if new. The table was
+    /// sized for every key to fit at half load.
+    fn insert(&mut self, buf: &StrBuffer, i: usize) -> u32 {
+        let b = self.bucket(buf.get_bytes(i));
+        if self.buckets[b] == 0 {
+            self.keys.extend_from_range(buf, i, 1);
+            self.buckets[b] = self.keys.len() as u32;
+        }
+        self.buckets[b] - 1
+    }
+
+    fn byte_size(&self) -> usize {
+        self.keys.byte_size() + self.buckets.len() * 4
+    }
+}
+
+/// Build half of [`join`]: construct the CSR table (or dense descriptor)
 /// over `r.head`, the canonical build side.
 pub fn join_build(r: &Bat) -> Result<JoinBuild> {
-    if let TypedSlice::Dense { start, len } = r.head().typed() {
-        return Ok(JoinBuild::Dense { start, len });
+    let head = r.head();
+    if let TypedSlice::Dense { start, len } = head.typed() {
+        return Ok(JoinBuild(Build::Dense { start, len }));
     }
-    match u64_keys(r.head()) {
-        Some(rk) => {
-            let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for (j, key) in rk.iter().enumerate() {
-                if let Some(k) = key {
-                    table.entry(*k).or_default().push(j as u32);
-                }
+    let mut row_slots = Vec::with_capacity(head.len());
+    let build = match head.typed() {
+        TypedSlice::Str { buf, offset, len } => {
+            let mut slots = StrSlots::with_capacity(len);
+            for j in 0..len {
+                row_slots.push(if head.is_valid(j) {
+                    slots.insert(buf, offset + j)
+                } else {
+                    NO_SLOT
+                });
             }
-            Ok(JoinBuild::Num(table))
+            let csr = Csr::new(&row_slots, slots.keys.len());
+            Build::Str { slots, csr }
         }
-        None => {
-            let TypedSlice::Str {
-                buf: rb,
-                offset: ro,
-                len: rl,
-            } = r.head().typed()
-            else {
-                return Err(BatError::type_mismatch(
-                    "join",
-                    "unsupported build key type",
-                ));
+        _ => {
+            let (mut lo, mut hi, mut n) = (u64::MAX, 0, 0u64);
+            visit_keys(head, |_, k| {
+                if let Some(k) = k {
+                    (lo, hi, n) = (lo.min(k), hi.max(k), n + 1);
+                }
+            });
+            let (slots, nslots) = if n == 0 || hi - lo < n.saturating_mul(COMPACT_SPAN) {
+                let span = if n == 0 { 0 } else { hi - lo + 1 };
+                visit_keys(head, |_, k| {
+                    row_slots.push(k.map_or(NO_SLOT, |k| (k - lo) as u32));
+                });
+                (NumSlots::Compact { lo, span }, span as usize)
+            } else {
+                let mut map = FxHashMap::default();
+                visit_keys(head, |_, k| {
+                    row_slots.push(k.map_or(NO_SLOT, |k| {
+                        let next = map.len() as u32;
+                        *map.entry(k).or_insert(next)
+                    }));
+                });
+                let nslots = map.len();
+                (NumSlots::Hash(map), nslots)
             };
-            let mut table: FxHashMap<String, Vec<u32>> = FxHashMap::default();
-            for j in 0..rl {
-                if r.head().is_valid(j) {
-                    table
-                        .entry(rb.get(ro + j).to_owned())
-                        .or_default()
-                        .push(j as u32);
-                }
-            }
-            Ok(JoinBuild::Str(table))
+            let csr = Csr::new(&row_slots, nslots);
+            Build::Num { slots, csr }
         }
-    }
+    };
+    Ok(JoinBuild(build))
 }
 
 /// Probe half of [`join`]: stream `l.tail` through a prebuilt table over
 /// `r.head`. `build` must have been produced by [`join_build`] on the same
 /// `r` (enforced upstream by keying cached builds on the BAT's identity).
 pub fn join_probe(l: &Bat, r: &Bat, build: &JoinBuild) -> Result<Bat> {
-    match build {
-        JoinBuild::Dense { start, len } => {
-            let lkeys = u64_keys(l.tail()).ok_or_else(|| {
-                BatError::type_mismatch("join", "string fetch-join keys unsupported")
-            })?;
-            let mut li: Vec<u32> = Vec::new();
-            let mut ri: Vec<u32> = Vec::new();
-            for (i, key) in lkeys.iter().enumerate() {
-                if let Some(k) = key {
-                    if *k >= *start && *k < *start + *len as u64 {
-                        li.push(i as u32);
-                        ri.push((*k - *start) as u32);
-                    }
-                }
-            }
-            Ok(assemble(l, r, &li, &ri))
+    let keys = l.tail();
+    let (mut li, mut ri) = (Vec::new(), Vec::new());
+    if let Build::Dense { .. } = build.0 {
+        // A fetch join emits at most one pair per probe row.
+        li.reserve(keys.len());
+        ri.reserve(keys.len());
+    }
+    let mut emit = |i: usize, matches: &[u32]| {
+        for &j in matches {
+            li.push(i as u32);
+            ri.push(j);
         }
-        JoinBuild::Num(table) => {
-            let lk = u64_keys(l.tail()).ok_or_else(|| {
-                BatError::type_mismatch(
-                    "join",
-                    format!(
-                        "join key types differ: {} vs {}",
-                        l.tail_type(),
-                        r.head_type()
-                    ),
-                )
-            })?;
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            for (i, key) in lk.iter().enumerate() {
-                if let Some(k) = key {
-                    if let Some(matches) = table.get(k) {
-                        for &j in matches {
-                            li.push(i as u32);
-                            ri.push(j);
-                        }
-                    }
+    };
+    let typed = match &build.0 {
+        Build::Dense { start, len } => {
+            let fetched = visit_keys(keys, |i, k| {
+                let row = k.map_or(u64::MAX, |k| k.wrapping_sub(*start));
+                if row < *len as u64 {
+                    emit(i, &[row as u32]);
                 }
-            }
-            Ok(assemble(l, r, &li, &ri))
-        }
-        JoinBuild::Str(table) => {
-            let TypedSlice::Str {
-                buf: lb,
-                offset: lo,
-                len: ll,
-            } = l.tail().typed()
-            else {
+            });
+            if !fetched {
                 return Err(BatError::type_mismatch(
                     "join",
-                    format!(
-                        "join key types differ: {} vs {}",
-                        l.tail_type(),
-                        r.head_type()
-                    ),
+                    "string fetch-join keys unsupported",
                 ));
-            };
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            for i in 0..ll {
-                if !l.tail().is_valid(i) {
-                    continue;
-                }
-                if let Some(matches) = table.get(lb.get(lo + i)) {
-                    for &j in matches {
-                        li.push(i as u32);
-                        ri.push(j);
-                    }
-                }
             }
-            Ok(assemble(l, r, &li, &ri))
+            true
         }
+        Build::Num {
+            slots: NumSlots::Compact { lo, span },
+            csr,
+        } => visit_keys(keys, |i, k| {
+            let slot = k.map_or(u64::MAX, |k| k.wrapping_sub(*lo));
+            if slot < *span {
+                emit(i, csr.rows(slot as usize));
+            }
+        }),
+        Build::Num {
+            slots: NumSlots::Hash(map),
+            csr,
+        } => visit_keys(keys, |i, k| {
+            if let Some(&slot) = k.and_then(|k| map.get(&k)) {
+                emit(i, csr.rows(slot as usize));
+            }
+        }),
+        Build::Str { slots, csr } => visit_str_keys(keys, |i, k| {
+            if let Some(slot) = k.and_then(|k| slots.get(k)) {
+                emit(i, csr.rows(slot));
+            }
+        }),
+    };
+    if !typed {
+        return Err(BatError::type_mismatch(
+            "join",
+            format!(
+                "join key types differ: {} vs {}",
+                l.tail_type(),
+                r.head_type()
+            ),
+        ));
     }
+    Ok(assemble(l, r, &li, &ri))
 }
 
 /// `algebra.join(l, r)`: for every pair `i, j` with `l.tail[i] == r.head[j]`
 /// emit `(l.head[i], r.tail[j])` — the canonical MonetDB binary join.
-///
-/// Implementation selection:
-/// * `r.head` dense → positional *fetch join*, O(|l|);
-/// * otherwise → hash join, build side `r`.
+/// Kernels are chosen as the module documentation describes.
 ///
 /// Composed from [`join_build`] + [`join_probe`], so a cached build side
 /// produces bit-identical results to a cold join.
@@ -206,42 +364,24 @@ pub fn diff(l: &Bat, r: &Bat) -> Result<Bat> {
 }
 
 fn filter_by_head(l: &Bat, r: &Bat, keep_members: bool) -> Result<Bat> {
-    let idx: Vec<u32> = match (u64_keys(l.head()), u64_keys(r.head())) {
-        (Some(lk), Some(rk)) => {
-            let set: FxHashSet<u64> = rk.into_iter().flatten().collect();
-            lk.iter()
-                .enumerate()
-                .filter(|(_, key)| match key {
-                    Some(k) => set.contains(k) == keep_members,
-                    None => false,
-                })
-                .map(|(i, _)| i as u32)
-                .collect()
-        }
-        (None, None) => {
-            let (
-                TypedSlice::Str {
-                    buf: lb,
-                    offset: lo,
-                    len: ll,
-                },
-                TypedSlice::Str {
-                    buf: rb,
-                    offset: ro,
-                    len: rl,
-                },
-            ) = (l.head().typed(), r.head().typed())
-            else {
-                return Err(BatError::type_mismatch("semijoin", "mixed head types"));
-            };
-            let set: FxHashSet<&str> = (0..rl)
-                .filter(|&j| r.head().is_valid(j))
-                .map(|j| rb.get(ro + j))
-                .collect();
-            (0..ll)
-                .filter(|&i| l.head().is_valid(i) && set.contains(lb.get(lo + i)) == keep_members)
-                .map(|i| i as u32)
-                .collect()
+    let (lh, rh) = (l.head(), r.head());
+    let idx = match (
+        l.head_type() == LogicalType::Str,
+        r.head_type() == LogicalType::Str,
+    ) {
+        (false, false) => num_members(lh, rh, keep_members),
+        (true, true) => {
+            let mut set = FxHashSet::default();
+            visit_str_keys(rh, |_, k| {
+                set.extend(k);
+            });
+            let mut idx = Vec::new();
+            visit_str_keys(lh, |i, k| {
+                if k.is_some_and(|k| set.contains(k) == keep_members) {
+                    idx.push(i as u32);
+                }
+            });
+            idx
         }
         _ => {
             return Err(BatError::type_mismatch(
@@ -260,6 +400,52 @@ fn filter_by_head(l: &Bat, r: &Bat, keep_members: bool) -> Result<Bat> {
             ..Props::default()
         },
     ))
+}
+
+/// Rows of fixed-width `keys` whose membership among the non-NULL keys of
+/// `members` equals `keep_members`, in row order; NULL keys never qualify.
+fn num_members(keys: &Column, members: &Column, keep_members: bool) -> Vec<u32> {
+    fn scan(keys: &Column, keep_members: bool, member: impl Fn(u64) -> bool) -> Vec<u32> {
+        let mut idx = Vec::new();
+        visit_keys(keys, |i, k| {
+            if k.is_some_and(|k| member(k) == keep_members) {
+                idx.push(i as u32);
+            }
+        });
+        idx
+    }
+    if let (TypedSlice::Dense { start, len }, false) = (members.typed(), members.has_nulls()) {
+        return scan(keys, keep_members, |k| k.wrapping_sub(start) < len as u64);
+    }
+    let (mut lo, mut hi, mut n) = (u64::MAX, 0, 0usize);
+    visit_keys(members, |_, k| {
+        if let Some(k) = k {
+            (lo, hi, n) = (lo.min(k), hi.max(k), n + 1);
+        }
+    });
+    if n == 0 {
+        return scan(keys, keep_members, |_| false);
+    }
+    let rows = (keys.len() + members.len()) as u64;
+    if hi - lo < rows.saturating_mul(BITMAP_SPAN) {
+        let span = hi - lo;
+        let mut bits = Bitmap::new(span as usize + 1, false);
+        visit_keys(members, |_, k| {
+            if let Some(k) = k {
+                bits.set((k - lo) as usize, true);
+            }
+        });
+        scan(keys, keep_members, |k| {
+            let s = k.wrapping_sub(lo);
+            s <= span && bits.get(s as usize)
+        })
+    } else {
+        let mut set = FxHashSet::with_capacity_and_hasher(n, Default::default());
+        visit_keys(members, |_, k| {
+            set.extend(k);
+        });
+        scan(keys, keep_members, |k| set.contains(&k))
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 
 use crate::bat::Bat;
 use crate::buffer::TypedSlice;
-use crate::column::{Column, ColumnBuilder};
+use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::props::Props;
 use crate::types::Value;
@@ -161,8 +161,9 @@ fn filter_indices(tail: &Column, bounds: &SelectBounds) -> Vec<u32> {
             }
         }
         TypedSlice::Str { buf, offset, len } => {
-            let lo = bounds.lo.as_str();
-            let hi = bounds.hi.as_str();
+            // Byte order is `str` order: compare raw bytes, no UTF-8 check.
+            let lo = bounds.lo.as_str().map(str::as_bytes);
+            let hi = bounds.hi.as_str().map(str::as_bytes);
             if (!bounds.lo.is_nil() && lo.is_none()) || (!bounds.hi.is_nil() && hi.is_none()) {
                 return idx;
             }
@@ -170,7 +171,7 @@ fn filter_indices(tail: &Column, bounds: &SelectBounds) -> Vec<u32> {
                 if !tail.is_valid(i) {
                     continue;
                 }
-                let s = buf.get(offset + i);
+                let s = buf.get_bytes(offset + i);
                 if let Some(l) = lo {
                     if s < l || (s == l && !bounds.lo_incl) {
                         continue;
@@ -315,22 +316,19 @@ pub fn concat(parts: &[&Bat]) -> Result<Bat> {
             ));
         }
     }
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut hb = ColumnBuilder::new(ht);
-    let mut tb = ColumnBuilder::new(tt);
-    for p in parts {
-        for i in 0..p.len() {
-            hb.push(&p.head().value(i));
-            tb.push(&p.tail().value(i));
-        }
-    }
-    debug_assert_eq!(hb.len(), total);
-    Ok(Bat::new(hb.finish(), tb.finish(), Props::default()))
+    let heads: Vec<Column> = parts.iter().map(|p| p.head().clone()).collect();
+    let tails: Vec<Column> = parts.iter().map(|p| p.tail().clone()).collect();
+    Ok(Bat::new(
+        Column::concat(&heads),
+        Column::concat(&tails),
+        Props::default(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnBuilder;
     use crate::types::{Date, Oid};
 
     fn int_bat(vals: Vec<i64>) -> Bat {

@@ -1,60 +1,30 @@
 //! Duplicate elimination on the head (`bat.kunique`).
 
 use crate::bat::Bat;
-use crate::buffer::TypedSlice;
-use crate::error::{BatError, Result};
+use crate::error::Result;
 use crate::hash::FxHashSet;
-use crate::ops::u64_keys;
+use crate::ops::{visit_keys, visit_str_keys};
 use crate::props::Props;
 
 /// Keep the first tuple for each distinct *head* value — the MAL idiom for
 /// `COUNT(DISTINCT x)` is `reverse` (value becomes head), `kunique`,
-/// `reverse`, `count`.
+/// `reverse`, `count`. NULL heads count as one value.
 pub fn kunique(b: &Bat) -> Result<Bat> {
-    let idx: Vec<u32> = match u64_keys(b.head()) {
-        Some(keys) => {
-            let mut seen: FxHashSet<u64> = FxHashSet::default();
-            let mut idx = Vec::new();
-            let mut null_seen = false;
-            for (i, key) in keys.iter().enumerate() {
-                match key {
-                    Some(k) => {
-                        if seen.insert(*k) {
-                            idx.push(i as u32);
-                        }
-                    }
-                    None => {
-                        if !null_seen {
-                            null_seen = true;
-                            idx.push(i as u32);
-                        }
-                    }
-                }
-            }
-            idx
+    let mut idx = Vec::new();
+    let mut nums = FxHashSet::default();
+    let mut strs = FxHashSet::default();
+    let fixed_width = visit_keys(b.head(), |i, k| {
+        if nums.insert(k) {
+            idx.push(i as u32);
         }
-        None => {
-            let TypedSlice::Str { buf, offset, len } = b.head().typed() else {
-                return Err(BatError::type_mismatch("kunique", "unsupported head type"));
-            };
-            let mut seen: FxHashSet<&str> = FxHashSet::default();
-            let mut idx = Vec::new();
-            let mut null_seen = false;
-            for i in 0..len {
-                if !b.head().is_valid(i) {
-                    if !null_seen {
-                        null_seen = true;
-                        idx.push(i as u32);
-                    }
-                    continue;
-                }
-                if seen.insert(buf.get(offset + i)) {
-                    idx.push(i as u32);
-                }
+    });
+    if !fixed_width {
+        visit_str_keys(b.head(), |i, k| {
+            if strs.insert(k) {
+                idx.push(i as u32);
             }
-            idx
-        }
-    };
+        });
+    }
     Ok(Bat::new(
         b.head().gather(&idx),
         b.tail().gather(&idx),

@@ -82,11 +82,17 @@ impl StrBuffer {
     /// Fetch string `i`.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
         // SAFETY-free: we only ever store whole &str values, so slicing on
         // recorded offsets is valid UTF-8 by construction.
-        std::str::from_utf8(&self.bytes[start..end]).expect("strbuf stores valid utf8")
+        std::str::from_utf8(self.get_bytes(i)).expect("strbuf stores valid utf8")
+    }
+
+    /// Fetch string `i` as raw bytes, skipping the UTF-8 check of
+    /// [`StrBuffer::get`]. Byte order is `str` order, so kernels compare,
+    /// hash and match on these.
+    #[inline]
+    pub fn get_bytes(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Iterate all strings.
@@ -122,6 +128,8 @@ mod tests {
         assert_eq!(b.get(0), "hello");
         assert_eq!(b.get(1), "");
         assert_eq!(b.get(2), "wörld");
+        assert_eq!(b.get_bytes(2), "wörld".as_bytes());
+        assert_eq!(b.get_bytes(1), b"");
     }
 
     #[test]

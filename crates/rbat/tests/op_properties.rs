@@ -2,10 +2,107 @@
 
 use proptest::prelude::*;
 use rbat::ops::{self, GrpFunc, SelectBounds};
-use rbat::{Bat, Column, Props, Value};
+use rbat::{Bat, Column, ColumnBuilder, Date, LogicalType, Oid, Props, Value};
 
 fn int_bat(vals: Vec<i64>) -> Bat {
     Bat::from_tail(Column::from_ints(vals))
+}
+
+/// Float keys that compare by bit pattern: `-0.0 != 0.0`, NaN matches NaN.
+const FLOAT_KEYS: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    1.5,
+    -2.25,
+    f64::INFINITY,
+    f64::MIN_POSITIVE,
+    1e300,
+];
+
+/// A key column of type `ty` (0 Int, 1 Date, 2 Oid, 3 Float, 4 Str) from
+/// generated `(key code, roll)` rows, NULL where the roll is 0, over one
+/// of three domains: `shape` 0 is small and non-negative, 1 is small
+/// and negative (sign-extended keys near `u64::MAX`), 2 is sparse, which
+/// forces the hash kernels.
+fn key_column(ty: u8, shape: u8, raw: &[(u64, u8)]) -> Column {
+    let lt = [
+        LogicalType::Int,
+        LogicalType::Date,
+        LogicalType::Oid,
+        LogicalType::Float,
+        LogicalType::Str,
+    ][ty as usize];
+    let mut b = ColumnBuilder::new(lt);
+    for &(k, roll) in raw {
+        let v = match (roll, ty, shape) {
+            (0, ..) => Value::Nil,
+            (_, 0, 0) => Value::Int(k as i64),
+            (_, 0, 1) => Value::Int(k as i64 - 40),
+            (_, 0, _) => Value::Int((k as i64 - 12) * 1_000_000_007),
+            (_, 1, 0) => Value::Date(Date(k as i32)),
+            (_, 1, 1) => Value::Date(Date(k as i32 - 40)),
+            (_, 1, _) => Value::Date(Date(k as i32 * 99_991)),
+            (_, 2, 2) => Value::Oid(Oid(k.wrapping_mul(0x9e37_79b9_7f4a_7c15))),
+            (_, 2, _) => Value::Oid(Oid(k)),
+            (_, 3, _) => Value::Float(FLOAT_KEYS[k as usize % 8] * (1 + k / 8) as f64),
+            (_, _, 2) => Value::str(&format!("ключ-{}", k * 7919)),
+            _ => Value::str(&"k".repeat(k as usize % 5)),
+        };
+        b.push(&v);
+    }
+    b.finish()
+}
+
+/// Key equality as the kernels define it: NULL matches nothing, floats
+/// compare by bits.
+fn same_key(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Nil, _) | (_, Value::Nil) => false,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// A BAT's tuples in order, floats spelled by their bits.
+fn tuples(b: &Bat) -> Vec<String> {
+    (0..b.len())
+        .map(|i| format!("{:?}", (b.head().value(i), b.tail().value(i))))
+        .collect()
+}
+
+/// `(head, tail)` of the full columns, cut to the window that leaves out
+/// `pre` leading and `post` trailing rows where there are enough.
+fn window(head: Column, tail: Column, pre: usize, post: usize) -> Bat {
+    let n = head.len();
+    let from = pre.min(n);
+    let len = n - from - post.min(n - from);
+    Bat::new(head, tail, Props::default()).slice(from, len)
+}
+
+/// Nested-loop join: `l` order, then `r` order within a key.
+fn model_join(l: &Bat, r: &Bat) -> Vec<String> {
+    let mut out = Vec::new();
+    for i in 0..l.len() {
+        for j in 0..r.len() {
+            if same_key(&l.tail().value(i), &r.head().value(j)) {
+                out.push(format!("{:?}", (l.head().value(i), r.tail().value(j))));
+            }
+        }
+    }
+    out
+}
+
+/// Nested-loop semijoin (`keep_members`) or diff: `l` rows with a
+/// non-NULL head, in `l` order.
+fn model_filter(l: &Bat, r: &Bat, keep_members: bool) -> Vec<String> {
+    (0..l.len())
+        .filter(|&i| {
+            let k = l.head().value(i);
+            !k.is_nil() && (0..r.len()).any(|j| same_key(&k, &r.head().value(j))) == keep_members
+        })
+        .map(|i| format!("{:?}", (l.head().value(i), l.tail().value(i))))
+        .collect()
 }
 
 proptest! {
@@ -140,15 +237,86 @@ proptest! {
         prop_assert_eq!(u.len(), distinct.len());
     }
 
-    /// concat of a split equals the original.
+    /// concat of a split equals the original, for dense and OID heads,
+    /// NULLs and strings, and with the split's windows cutting through
+    /// the validity words.
     #[test]
-    fn concat_roundtrip(vals in prop::collection::vec(-50i64..50, 2..100),
+    fn concat_roundtrip(raw in prop::collection::vec((0u64..24, 0u8..8), 2..100),
+                        ty in 0u8..5, dense_head in 0u8..2,
                         cut_ratio in 0.1f64..0.9) {
-        let b = int_bat(vals);
-        let cut = ((b.len() as f64 * cut_ratio) as usize).clamp(1, b.len() - 1);
+        let n = raw.len();
+        let head = if dense_head == 1 {
+            Column::dense(7, n)
+        } else {
+            key_column(2, 2, &raw)
+        };
+        let b = Bat::new(head, key_column(ty, 0, &raw), Props::default());
+        let cut = ((n as f64 * cut_ratio) as usize).clamp(1, n - 1);
         let front = b.slice(0, cut);
-        let back = b.slice(cut, b.len() - cut);
+        let back = b.slice(cut, n - cut);
         let merged = ops::concat(&[&front, &back]).unwrap();
-        prop_assert_eq!(merged.canonical_tuples(), b.canonical_tuples());
+        prop_assert_eq!(tuples(&merged), tuples(&b));
+        let swapped = ops::concat(&[&back, &front]).unwrap();
+        let mut expect = tuples(&back);
+        expect.extend(tuples(&front));
+        prop_assert_eq!(tuples(&swapped), expect);
+    }
+
+    /// join, join_probe over a reused build, semijoin, diff and kunique
+    /// equal nested-loop models tuple for tuple, in order, over every key
+    /// type and kernel: compact, negative and sparse (hash) domains,
+    /// dense heads (fetch join, range membership), NULL keys on both
+    /// sides, sliced windows, empty sides and duplicate build keys.
+    #[test]
+    fn join_family_matches_nested_loop(ty in 0u8..5, shape in 0u8..3, dense in 0u8..6,
+                                       l_raw in prop::collection::vec((0u64..24, 0u8..8), 0..40),
+                                       r_raw in prop::collection::vec((0u64..24, 0u8..8), 0..40),
+                                       cuts in (0usize..3, 0usize..3, 0usize..3, 0usize..3)) {
+        let (l_pre, l_post, r_pre, r_post) = cuts;
+        // Dense heads (r's for `dense` 0, l's for 2) take small OID keys.
+        let oid_dense = dense == 0 || dense == 2;
+        let (ty, shape) = if oid_dense { (2, 0) } else { (ty, shape) };
+        let (ln, rn) = (l_raw.len(), r_raw.len());
+        let l_keys = key_column(ty, shape, &l_raw);
+        let r_keys = if oid_dense && dense == 0 {
+            Column::dense(3, rn)
+        } else {
+            key_column(ty, shape, &r_raw)
+        };
+        let row_ids = |n: usize| if dense == 1 {
+            Column::dense(1000, n)
+        } else {
+            Column::from_oids((1000..1000 + n as u64).collect())
+        };
+        let payload = |n: usize| Column::from_ints((0..n as i64).map(|i| i * 10).collect());
+
+        // Join: keys on l's tail and r's head.
+        let l = window(row_ids(ln), l_keys.clone(), l_pre, l_post);
+        let r = window(r_keys.clone(), payload(rn), r_pre, r_post);
+        let expect = model_join(&l, &r);
+        prop_assert_eq!(tuples(&ops::join(&l, &r).unwrap()), expect.clone());
+        let build = ops::join_build(&r).unwrap();
+        prop_assert!(build.byte_size() > 0);
+        prop_assert_eq!(tuples(&ops::join_probe(&l, &r, &build).unwrap()), expect);
+        let l2 = l.slice(l.len().min(1), l.len().saturating_sub(1));
+        prop_assert_eq!(tuples(&ops::join_probe(&l2, &r, &build).unwrap()), model_join(&l2, &r));
+
+        // Semijoin, diff and kunique: keys on both heads.
+        let l_head = if oid_dense && dense == 2 { Column::dense(5, ln) } else { l_keys };
+        let l = window(l_head, payload(ln), l_pre, l_post);
+        let r = window(r_keys, payload(rn), r_pre, r_post);
+        prop_assert_eq!(tuples(&ops::semijoin(&l, &r).unwrap()), model_filter(&l, &r, true));
+        prop_assert_eq!(tuples(&ops::diff(&l, &r).unwrap()), model_filter(&l, &r, false));
+        let firsts: Vec<String> = (0..l.len())
+            .filter(|&i| {
+                let k = l.head().value(i);
+                (0..i).all(|p| {
+                    let q = l.head().value(p);
+                    !(same_key(&k, &q) || k.is_nil() && q.is_nil())
+                })
+            })
+            .map(|i| format!("{:?}", (l.head().value(i), l.tail().value(i))))
+            .collect();
+        prop_assert_eq!(tuples(&ops::kunique(&l).unwrap()), firsts);
     }
 }

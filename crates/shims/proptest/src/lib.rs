@@ -49,8 +49,14 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or the count in the `PROPTEST_CASES` environment
+    /// variable when it is set, as in the real crate.
     fn default() -> ProptestConfig {
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig { cases }
     }
 }
 
