@@ -56,8 +56,8 @@ fn bench_join(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("semijoin", n), &n, |bench, _| {
             bench.iter(|| ops::semijoin(black_box(&l), black_box(&r_hash)).unwrap())
         });
-        // Keys spread over the whole u64 range: the span rules out the
-        // compact slot map, so the build hashes.
+        // Keys spread over the whole u64 range, so the build's hash map
+        // sees scattered keys rather than a small dense run.
         let spread = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let l_sparse = Bat::new(
             Column::from_oids((0..n as u64).collect()),

@@ -5,19 +5,16 @@
 //!
 //! Every kernel reads its keys through the zero-allocation visitors
 //! ([`visit_keys`], [`visit_str_keys`]). The choice between kernels
-//! depends only on the inputs' key span against their row counts. That is
-//! a property of the data, so there is no knob.
+//! depends only on the inputs (a dense head, or key span against row
+//! counts). That is a property of the data, so there is no knob.
 //!
 //! * **Join** (`l.tail == r.head`, build side `r`):
 //!   * a dense `r.head` is a *fetch join*: a key is its own build row, so
 //!     there is no table at all;
-//!   * otherwise the build is a CSR table: each key maps to a slot, and
-//!     slot `s`'s build rows are `rows[offsets[s]..offsets[s + 1]]`, in
-//!     ascending order. The key→slot map is `key − lo` when the key span
-//!     is at most [`COMPACT_SPAN`] times the row count (an offsets array
-//!     costs less than a hash map there, and a probe is a subtraction),
-//!     and an `FxHashMap<u64, u32>` otherwise. String keys are copied
-//!     into one arena and found by linear probing. No key owns a `Vec`.
+//!   * otherwise the build is a CSR table: an `FxHashMap` maps each key
+//!     to a slot, and slot `s`'s build rows are
+//!     `rows[offsets[s]..offsets[s + 1]]`, in ascending order. No key owns
+//!     a `Vec` of rows.
 //! * **Semijoin / diff** (membership of `l.head` among `r.head`):
 //!   * a dense `r.head` is a range check;
 //!   * `r`'s keys spanning at most [`BITMAP_SPAN`] times `|l| + |r|`
@@ -30,22 +27,15 @@
 //! semijoin keeps `l`'s order, and a join emits `l`'s order, then build
 //! order within a key.
 
-use std::hash::{BuildHasher, BuildHasherDefault};
-
 use crate::bat::Bat;
 use crate::bitmap::Bitmap;
 use crate::buffer::TypedSlice;
 use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::ops::{visit_keys, visit_str_keys};
 use crate::props::Props;
-use crate::strbuf::StrBuffer;
 use crate::types::LogicalType;
-
-/// A join build takes the compact `key − lo` slot map when its keys span
-/// at most this many slots per build row.
-const COMPACT_SPAN: u64 = 4;
 
 /// Semijoin membership is a bitmap when `r`'s keys span at most this many
 /// bits per row of `|l| + |r|`.
@@ -54,7 +44,7 @@ const BITMAP_SPAN: u64 = 32;
 /// Exported build side of a hash join: the lookup structure over `r.head`,
 /// detached from the borrow of `r` so it can be cached and re-imported by a
 /// later probe (operator-state recycling). String tables copy their keys
-/// out of the build BAT's string buffer into one arena.
+/// out of the build BAT's string buffer.
 #[derive(Debug)]
 pub struct JoinBuild(Build);
 
@@ -63,9 +53,9 @@ enum Build {
     /// `r.head` is dense: a fetch join needs no table, only the range.
     Dense { start: u64, len: usize },
     /// Fixed-width keys (NULL build rows excluded).
-    Num { slots: NumSlots, csr: Csr },
+    Num(Table<u64>),
     /// String keys (NULL build rows excluded).
-    Str { slots: StrSlots, csr: Csr },
+    Str(Table<Box<[u8]>>),
 }
 
 impl JoinBuild {
@@ -73,14 +63,23 @@ impl JoinBuild {
     pub fn byte_size(&self) -> usize {
         match &self.0 {
             Build::Dense { .. } => 16,
-            Build::Num { slots, csr } => slots.byte_size() + csr.byte_size(),
-            Build::Str { slots, csr } => slots.byte_size() + csr.byte_size(),
+            Build::Num(t) => t.byte_size(),
+            Build::Str(t) => t.byte_size() + t.slots.keys().map(|k| k.len()).sum::<usize>(),
         }
     }
 }
 
 /// Marks a build row without a slot (a NULL key).
 const NO_SLOT: u32 = u32::MAX;
+
+/// The slot of `key` in `slots`, a new one if it is new.
+#[inline]
+fn slot_of<K: Eq + std::hash::Hash>(slots: &mut FxHashMap<K, u32>, key: Option<K>) -> u32 {
+    key.map_or(NO_SLOT, |k| {
+        let next = slots.len() as u32;
+        *slots.entry(k).or_insert(next)
+    })
+}
 
 /// Build rows grouped by key slot: slot `s` owns
 /// `rows[offsets[s]..offsets[s + 1]]`, in ascending row order.
@@ -126,83 +125,25 @@ impl Csr {
     }
 }
 
-/// Fixed-width key → slot.
+/// A CSR join table: key → slot, slots in order of first appearance.
 #[derive(Debug)]
-enum NumSlots {
-    /// `slot = key − lo` for keys in `[lo, lo + span)`.
-    Compact { lo: u64, span: u64 },
-    /// Slots in order of first appearance.
-    Hash(FxHashMap<u64, u32>),
+struct Table<K> {
+    slots: FxHashMap<K, u32>,
+    csr: Csr,
 }
 
-impl NumSlots {
+impl<K: Eq + std::hash::Hash> Table<K> {
+    /// Groups the build rows by `row_slots[j]`, the slot `slots` gave
+    /// row `j`'s key.
+    fn new(slots: FxHashMap<K, u32>, row_slots: &[u32]) -> Table<K> {
+        let csr = Csr::new(row_slots, slots.len());
+        Table { slots, csr }
+    }
+
+    /// Heap footprint of the map's buckets and the CSR arrays (not of any
+    /// heap data the keys own).
     fn byte_size(&self) -> usize {
-        match self {
-            NumSlots::Compact { .. } => 16,
-            NumSlots::Hash(map) => map.capacity() * (std::mem::size_of::<(u64, u32)>() + 1),
-        }
-    }
-}
-
-/// String key → slot: the distinct keys in one arena, slot `s` being arena
-/// string `s`, found by linear probing over power-of-two `buckets` that
-/// hold `slot + 1` (0 marks an empty bucket).
-#[derive(Debug)]
-struct StrSlots {
-    keys: StrBuffer,
-    buckets: Vec<u32>,
-}
-
-impl StrSlots {
-    fn with_capacity(n: usize) -> StrSlots {
-        StrSlots {
-            keys: StrBuffer::new(),
-            buckets: vec![0; (2 * n).next_power_of_two().max(2)],
-        }
-    }
-
-    /// The first bucket to probe for `key`: the hash's high bits, which
-    /// are its best-mixed ones.
-    #[inline]
-    fn home(&self, key: &[u8]) -> usize {
-        let h = BuildHasherDefault::<FxHasher>::default().hash_one(key);
-        (h >> (64 - self.buckets.len().trailing_zeros())) as usize
-    }
-
-    /// The bucket holding `key`, or the empty bucket where it belongs.
-    #[inline]
-    fn bucket(&self, key: &[u8]) -> usize {
-        let mask = self.buckets.len() - 1;
-        let mut b = self.home(key);
-        loop {
-            match self.buckets[b] {
-                0 => return b,
-                s if self.keys.get_bytes(s as usize - 1) == key => return b,
-                _ => b = (b + 1) & mask,
-            }
-        }
-    }
-
-    #[inline]
-    fn get(&self, key: &[u8]) -> Option<usize> {
-        self.buckets[self.bucket(key)]
-            .checked_sub(1)
-            .map(|s| s as usize)
-    }
-
-    /// The slot of string `i` of `buf`, copied in if new. The table was
-    /// sized for every key to fit at half load.
-    fn insert(&mut self, buf: &StrBuffer, i: usize) -> u32 {
-        let b = self.bucket(buf.get_bytes(i));
-        if self.buckets[b] == 0 {
-            self.keys.extend_from_range(buf, i, 1);
-            self.buckets[b] = self.keys.len() as u32;
-        }
-        self.buckets[b] - 1
-    }
-
-    fn byte_size(&self) -> usize {
-        self.keys.byte_size() + self.buckets.len() * 4
+        self.slots.capacity() * (std::mem::size_of::<(K, u32)>() + 1) + self.csr.byte_size()
     }
 }
 
@@ -214,46 +155,15 @@ pub fn join_build(r: &Bat) -> Result<JoinBuild> {
         return Ok(JoinBuild(Build::Dense { start, len }));
     }
     let mut row_slots = Vec::with_capacity(head.len());
-    let build = match head.typed() {
-        TypedSlice::Str { buf, offset, len } => {
-            let mut slots = StrSlots::with_capacity(len);
-            for j in 0..len {
-                row_slots.push(if head.is_valid(j) {
-                    slots.insert(buf, offset + j)
-                } else {
-                    NO_SLOT
-                });
-            }
-            let csr = Csr::new(&row_slots, slots.keys.len());
-            Build::Str { slots, csr }
-        }
-        _ => {
-            let (mut lo, mut hi, mut n) = (u64::MAX, 0, 0u64);
-            visit_keys(head, |_, k| {
-                if let Some(k) = k {
-                    (lo, hi, n) = (lo.min(k), hi.max(k), n + 1);
-                }
-            });
-            let (slots, nslots) = if n == 0 || hi - lo < n.saturating_mul(COMPACT_SPAN) {
-                let span = if n == 0 { 0 } else { hi - lo + 1 };
-                visit_keys(head, |_, k| {
-                    row_slots.push(k.map_or(NO_SLOT, |k| (k - lo) as u32));
-                });
-                (NumSlots::Compact { lo, span }, span as usize)
-            } else {
-                let mut map = FxHashMap::default();
-                visit_keys(head, |_, k| {
-                    row_slots.push(k.map_or(NO_SLOT, |k| {
-                        let next = map.len() as u32;
-                        *map.entry(k).or_insert(next)
-                    }));
-                });
-                let nslots = map.len();
-                (NumSlots::Hash(map), nslots)
-            };
-            let csr = Csr::new(&row_slots, nslots);
-            Build::Num { slots, csr }
-        }
+    let mut nums = FxHashMap::default();
+    let build = if visit_keys(head, |_, k| row_slots.push(slot_of(&mut nums, k))) {
+        Build::Num(Table::new(nums, &row_slots))
+    } else {
+        let mut strs = FxHashMap::default();
+        visit_str_keys(head, |_, k| {
+            row_slots.push(slot_of(&mut strs, k.map(Box::from)))
+        });
+        Build::Str(Table::new(strs, &row_slots))
     };
     Ok(JoinBuild(build))
 }
@@ -291,26 +201,14 @@ pub fn join_probe(l: &Bat, r: &Bat, build: &JoinBuild) -> Result<Bat> {
             }
             true
         }
-        Build::Num {
-            slots: NumSlots::Compact { lo, span },
-            csr,
-        } => visit_keys(keys, |i, k| {
-            let slot = k.map_or(u64::MAX, |k| k.wrapping_sub(*lo));
-            if slot < *span {
-                emit(i, csr.rows(slot as usize));
+        Build::Num(t) => visit_keys(keys, |i, k| {
+            if let Some(&slot) = k.and_then(|k| t.slots.get(&k)) {
+                emit(i, t.csr.rows(slot as usize));
             }
         }),
-        Build::Num {
-            slots: NumSlots::Hash(map),
-            csr,
-        } => visit_keys(keys, |i, k| {
-            if let Some(&slot) = k.and_then(|k| map.get(&k)) {
-                emit(i, csr.rows(slot as usize));
-            }
-        }),
-        Build::Str { slots, csr } => visit_str_keys(keys, |i, k| {
-            if let Some(slot) = k.and_then(|k| slots.get(k)) {
-                emit(i, csr.rows(slot));
+        Build::Str(t) => visit_str_keys(keys, |i, k| {
+            if let Some(&slot) = k.and_then(|k| t.slots.get(k)) {
+                emit(i, t.csr.rows(slot as usize));
             }
         }),
     };

@@ -24,7 +24,7 @@ const FLOAT_KEYS: [f64; 8] = [
 /// generated `(key code, roll)` rows, NULL where the roll is 0, over one
 /// of three domains: `shape` 0 is small and non-negative, 1 is small
 /// and negative (sign-extended keys near `u64::MAX`), 2 is sparse, which
-/// forces the hash kernels.
+/// forces the hash-set membership kernel.
 fn key_column(ty: u8, shape: u8, raw: &[(u64, u8)]) -> Column {
     let lt = [
         LogicalType::Int,
@@ -264,7 +264,7 @@ proptest! {
 
     /// join, join_probe over a reused build, semijoin, diff and kunique
     /// equal nested-loop models tuple for tuple, in order, over every key
-    /// type and kernel: compact, negative and sparse (hash) domains,
+    /// type and kernel: compact (bitmap), negative and sparse (hash) domains,
     /// dense heads (fetch join, range membership), NULL keys on both
     /// sides, sliced windows, empty sides and duplicate build keys.
     #[test]
