@@ -102,7 +102,7 @@ pub mod tier;
 pub use config::{AdmissionPolicy, EvictionPolicy, RecyclerConfig, UpdateMode};
 pub use entry::{EntryId, PoolEntry};
 pub use mark::RecycleMark;
-pub use pool::{Admitted, PoolScopedView, PoolWriteView, RecyclePool, RepairReport};
+pub use pool::{Admitted, PoolScopedView, RecyclePool, RepairReport};
 pub use runtime::Recycler;
 pub use shared::{MaintenanceGuard, PoolRef, SharedRecycler};
 pub use stats::{FamilyRow, PoolSnapshot, QueryRecord, RecyclerStats};

@@ -17,6 +17,7 @@ use rmal::Opcode;
 
 use crate::entry::{EntryId, PoolEntry};
 use crate::signature::{ArgSig, ArtifactKind, Sig};
+use crate::tier::TierState;
 
 /// Outcome of [`RecyclePool::insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +162,26 @@ impl<K: Hash + Eq + Clone, V> ShardedIndex<K, V> {
             }
         }
     }
+
+    /// A point-in-time copy of every row (one sub-map lock at a time).
+    fn snapshot(&self) -> FxHashMap<K, V>
+    where
+        V: Clone,
+    {
+        let mut out = FxHashMap::default();
+        self.for_each(|k, v| {
+            out.insert(k.clone(), v.clone());
+        });
+        out
+    }
+
+    /// Replace every row with `rows`.
+    fn store(&self, rows: FxHashMap<K, V>) {
+        self.clear();
+        for (k, v) in rows {
+            self.insert(k, v);
+        }
+    }
 }
 
 /// One signature shard: the slab of entries whose signatures hash here
@@ -181,6 +202,221 @@ fn default_shard_count() -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     (2 * cores).next_power_of_two().max(8)
+}
+
+/// What one entry charges the pool's books. [`Charge::of`] is the only
+/// rule mapping an entry's residency tier and payload to book amounts:
+/// every site that changes an entry moves the books by `sub` of its
+/// charge before and `add` of its charge after.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Charge {
+    /// Bytes of raw entries.
+    raw: usize,
+    /// Bytes of in-memory compressed blobs.
+    compressed: usize,
+    /// Bytes of spilled records on disk — off-cap, they count against
+    /// the spill budget instead.
+    spilled: usize,
+    /// Bytes of operator-state artifacts: a subset of `raw` (artifacts
+    /// never demote).
+    artifact: usize,
+}
+
+impl Charge {
+    fn of(e: &PoolEntry) -> Charge {
+        match &e.tier {
+            TierState::Raw => Charge {
+                raw: e.bytes,
+                artifact: if e.artifact.is_some() { e.bytes } else { 0 },
+                ..Charge::default()
+            },
+            TierState::Compressed(_) => Charge {
+                compressed: e.bytes,
+                ..Charge::default()
+            },
+            TierState::Spilled(t) => Charge {
+                spilled: t.len as usize,
+                ..Charge::default()
+            },
+        }
+    }
+
+    /// Bytes counted against the memory cap.
+    fn resident(&self) -> usize {
+        self.raw + self.compressed
+    }
+
+    /// The amounts in [`ShardBook`] cell order.
+    fn amounts(&self) -> [usize; 4] {
+        [self.raw, self.compressed, self.spilled, self.artifact]
+    }
+}
+
+impl std::ops::AddAssign for Charge {
+    fn add_assign(&mut self, o: Charge) {
+        self.raw += o.raw;
+        self.compressed += o.compressed;
+        self.spilled += o.spilled;
+        self.artifact += o.artifact;
+    }
+}
+
+/// One shard's book: the [`Charge`] sum of its entries, in atomics so
+/// readers take no lock. Cells follow [`Charge::amounts`] order.
+#[derive(Default)]
+struct ShardBook([AtomicUsize; 4]);
+
+impl ShardBook {
+    fn load(&self) -> Charge {
+        let [raw, compressed, spilled, artifact] =
+            self.0.each_ref().map(|a| a.load(Ordering::Relaxed));
+        Charge {
+            raw,
+            compressed,
+            spilled,
+            artifact,
+        }
+    }
+}
+
+/// The pool's books: one [`ShardBook`] per shard plus the pool-wide
+/// resident-byte and entry totals. `add`/`sub` (and `enter`/`leave`, which
+/// also count the entry) are the only writers, always under the shard's
+/// write lock, besides [`RecyclePool::store`] replacing them wholesale.
+/// Zero amounts are skipped, so an insert or removal costs one atomic
+/// read-modify-write per non-zero field.
+struct Books {
+    shards: Box<[ShardBook]>,
+    bytes: AtomicUsize,
+    entries: AtomicUsize,
+}
+
+impl Books {
+    fn new(shards: usize) -> Books {
+        Books {
+            shards: (0..shards).map(|_| ShardBook::default()).collect(),
+            bytes: AtomicUsize::new(0),
+            entries: AtomicUsize::new(0),
+        }
+    }
+
+    fn add(&self, si: usize, c: &Charge) {
+        self.apply(si, c, AtomicUsize::fetch_add);
+    }
+
+    fn sub(&self, si: usize, c: &Charge) {
+        self.apply(si, c, AtomicUsize::fetch_sub);
+    }
+
+    /// Move shard `si`'s cells and the pool's resident-byte total by the
+    /// non-zero amounts of `c`.
+    fn apply(&self, si: usize, c: &Charge, op: fn(&AtomicUsize, usize, Ordering) -> usize) {
+        let cells = self.shards[si].0.iter().chain([&self.bytes]);
+        for (cell, v) in cells.zip(c.amounts().into_iter().chain([c.resident()])) {
+            if v != 0 {
+                op(cell, v, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// An entry charging `c` became resident in shard `si`.
+    fn enter(&self, si: usize, c: &Charge) {
+        self.add(si, c);
+        self.entries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// An entry charging `c` left shard `si`.
+    fn leave(&self, si: usize, c: &Charge) {
+        self.sub(si, c);
+        self.entries.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The pool-wide sum of the shard books.
+    fn total(&self) -> Charge {
+        let mut t = Charge::default();
+        for b in self.shards.iter() {
+            t += b.load();
+        }
+        t
+    }
+
+    /// Overwrite every book with the derivation `d`.
+    fn store(&self, d: &Derived) {
+        for (si, b) in self.shards.iter().enumerate() {
+            let c = d.books.get(&si).copied().unwrap_or_default();
+            for (cell, v) in b.0.iter().zip(c.amounts()) {
+                cell.store(v, Ordering::Relaxed);
+            }
+        }
+        self.bytes.store(d.bytes(), Ordering::Relaxed);
+        self.entries.store(d.entries, Ordering::Relaxed);
+    }
+}
+
+/// The subsumption-candidate key of a signature: `(opcode, first
+/// argument)` for result entries. Operator-state artifacts are not tuple
+/// supersets of anything, so they are never candidates.
+fn candidate_key(sig: &Sig) -> Option<(Opcode, ArgSig)> {
+    if sig.kind != ArtifactKind::Result {
+        return None;
+    }
+    sig.first_arg().map(|a| (sig.op, a.clone()))
+}
+
+/// The pool state derived from a set of shard slabs by
+/// [`RecyclePool::derive`]: what the books and side indexes must hold.
+/// [`RecyclePool::check_invariants`] diffs the stored state against it,
+/// [`RecyclePool::repair`] stores it, and [`RecyclePool::clear`] stores
+/// the empty one. The evictable-leaf index is maintained incrementally
+/// at the insert/remove funnels; only its check and rebuild live here.
+#[derive(Default)]
+struct Derived {
+    /// Per-shard [`Charge`] sums, keyed by shard index.
+    books: FxHashMap<usize, Charge>,
+    /// Resident entries.
+    entries: usize,
+    /// Entry → shard.
+    owner: FxHashMap<EntryId, usize>,
+    /// Parent → dependents.
+    children: FxHashMap<EntryId, FxHashSet<EntryId>>,
+    /// The childless entries.
+    leaves: FxHashMap<EntryId, ()>,
+    /// Subsumption candidates per [`candidate_key`], ids ascending.
+    by_op_arg0: FxHashMap<(Opcode, ArgSig), Vec<EntryId>>,
+    /// Resident entries per admitting session.
+    by_session: FxHashMap<u64, u64>,
+    /// The live rows of the result-keyed maps: result and alias rows of
+    /// resident entries, subset edges of result BATs still indexed.
+    by_result: FxHashMap<BatId, EntryId>,
+    result_aliases: FxHashMap<EntryId, Vec<BatId>>,
+    supersets: FxHashMap<BatId, Vec<BatId>>,
+}
+
+impl Derived {
+    fn bytes(&self) -> usize {
+        self.books.values().map(Charge::resident).sum()
+    }
+}
+
+/// Compare a stored fact with its derivation, naming the first key on
+/// which they differ.
+fn diff<K: Hash + Eq + std::fmt::Debug, V: PartialEq + std::fmt::Debug>(
+    what: &str,
+    stored: &FxHashMap<K, V>,
+    derived: &FxHashMap<K, V>,
+) -> Result<(), String> {
+    match stored
+        .keys()
+        .chain(derived.keys())
+        .find(|k| stored.get(k) != derived.get(k))
+    {
+        None => Ok(()),
+        Some(k) => Err(format!(
+            "{what} {k:?}: stored {:?} != derived {:?}",
+            stored.get(k),
+            derived.get(k)
+        )),
+    }
 }
 
 /// The recycler's resource pool of intermediates (paper §3.2), sharded by
@@ -217,22 +453,16 @@ fn default_shard_count() -> usize {
 /// shard observes fully wired, quiescent lineage for those entries.
 pub struct RecyclePool {
     shards: Box<[RwLock<Shard>]>,
-    /// Resident bytes per shard (diagnostics + eviction targeting without
-    /// locks).
-    shard_bytes: Box<[AtomicUsize]>,
-    /// Per-shard byte books split by residency tier. Invariant (verified
-    /// by [`Self::check_invariants`]): `raw + compressed == shard_bytes`
-    /// per shard — spilled bytes live off-cap and are tracked for
-    /// observability and the spill budget only. Adjusted at the same
-    /// funnels as `shard_bytes` (insert/remove) plus the tier
-    /// transitions ([`Self::demote_compress`], [`Self::demote_spill`],
-    /// [`Self::promote`]), always under the owning shard's write lock.
-    tier_books: Box<[crate::tier::TierBook]>,
-    /// The spill block file backing [`crate::tier::TierState::Spilled`]
-    /// entries, when the database opted in via `spill_dir`.
+    /// Per-shard [`Charge`] sums by residency tier plus the pool's byte
+    /// and entry totals. A shard's resident bytes are its `raw +
+    /// compressed`; spilled bytes live off-cap. Moved by the insert/remove
+    /// funnels, the tier transitions ([`Self::demote_compress`],
+    /// [`Self::demote_spill`], [`Self::promote`]) and the scoped view's
+    /// resize and rekey, always under the owning shard's write lock.
+    books: Books,
+    /// The spill block file backing [`TierState::Spilled`] entries, when
+    /// the database opted in via `spill_dir`.
     spill: Option<Arc<crate::tier::SpillFile>>,
-    total_bytes: AtomicUsize,
-    total_entries: AtomicUsize,
     owner: ShardedIndex<EntryId, usize>,
     by_result: ShardedIndex<BatId, EntryId>,
     result_aliases: ShardedIndex<EntryId, Vec<BatId>>,
@@ -322,9 +552,9 @@ pub struct RepairReport {
     /// Entries dropped: torn (half-wired) residents of repaired shards
     /// plus any entry whose lineage chain died with them.
     pub entries_dropped: usize,
-    /// Bytes of the dropped entries, refunded exactly from the byte
-    /// books (which are additionally recomputed from the surviving
-    /// slabs, healing any counter drift a mid-flight panic left).
+    /// Bytes of the dropped entries. The books are recomputed from the
+    /// surviving slabs, which refunds them and heals any counter drift
+    /// a mid-flight panic left.
     pub bytes_dropped: usize,
 }
 
@@ -358,11 +588,8 @@ impl RecyclePool {
         let n = n.max(1).next_power_of_two();
         RecyclePool {
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            tier_books: (0..n).map(|_| crate::tier::TierBook::default()).collect(),
+            books: Books::new(n),
             spill: None,
-            total_bytes: AtomicUsize::new(0),
-            total_entries: AtomicUsize::new(0),
             owner: ShardedIndex::new(n),
             by_result: ShardedIndex::new(n),
             result_aliases: ShardedIndex::new(n),
@@ -399,7 +626,7 @@ impl RecyclePool {
 
     /// Resident bytes of one shard.
     pub fn shard_bytes(&self, shard: usize) -> usize {
-        self.shard_bytes[shard].load(Ordering::Relaxed)
+        self.books.shards[shard].load().resident()
     }
 
     /// Shard write-lock acquisitions since construction. The exact-match
@@ -508,7 +735,7 @@ impl RecyclePool {
 
     /// Number of entries ("cache lines").
     pub fn len(&self) -> usize {
-        self.total_entries.load(Ordering::Relaxed)
+        self.books.entries.load(Ordering::Relaxed)
     }
 
     /// Is the pool empty?
@@ -518,7 +745,7 @@ impl RecyclePool {
 
     /// Total resident bytes of stored intermediates.
     pub fn bytes(&self) -> usize {
-        self.total_bytes.load(Ordering::Relaxed)
+        self.books.bytes.load(Ordering::Relaxed)
     }
 
     /// Allocate the next entry id (monotone, never reused — also across
@@ -541,41 +768,85 @@ impl RecyclePool {
         let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = (0..self.shards.len())
             .map(|i| self.write_shard(i))
             .collect();
-        for (i, sh) in guards.iter_mut().enumerate() {
+        for sh in guards.iter_mut() {
             sh.entries.clear();
             sh.by_sig.clear();
-            self.shard_bytes[i].store(0, Ordering::Relaxed);
-            self.tier_books[i].raw.store(0, Ordering::Relaxed);
-            self.tier_books[i].compressed.store(0, Ordering::Relaxed);
-            self.tier_books[i].spilled.store(0, Ordering::Relaxed);
-            self.tier_books[i].artifact.store(0, Ordering::Relaxed);
         }
         if let Some(spill) = &self.spill {
             spill.clear();
         }
-        self.owner.clear();
-        self.by_result.clear();
-        self.result_aliases.clear();
-        self.children.clear();
-        self.leaves.clear();
-        self.leaf_count.store(0, Ordering::Relaxed);
-        self.nursery.clear();
-        self.supersets.clear();
-        self.by_op_arg0.clear();
-        self.by_session.clear();
-        self.total_bytes.store(0, Ordering::Relaxed);
-        self.total_entries.store(0, Ordering::Relaxed);
+        self.store(Derived::default());
         // A full wipe trivially restores every invariant: lift any
-        // quarantine and un-poison the locks — while the write guards
-        // are still held, so no probe can observe a poisoned lock with
-        // its quarantine bit already lowered.
-        for (i, q) in self.quarantined.iter().enumerate() {
-            self.shards[i].clear_poison();
-            if q.swap(false, Ordering::AcqRel) {
-                self.quarantined_count.fetch_sub(1, Ordering::Relaxed);
-            }
+        // quarantine while the write guards are still held.
+        for i in 0..self.shards.len() {
+            self.lift_quarantine(i);
         }
         drop(guards);
+    }
+
+    /// Return shard `i` to service: clear its lock poison and lower its
+    /// quarantine bit. The caller holds the shard's write lock, so no
+    /// probe can observe a poisoned lock with its bit already lowered.
+    fn lift_quarantine(&self, i: usize) {
+        self.shards[i].clear_poison();
+        if self.quarantined[i].swap(false, Ordering::AcqRel) {
+            self.quarantined_count.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Derive the books and side indexes from `shards`' slabs (see
+    /// [`Derived`]). The result-keyed maps are read from their stored
+    /// rows, keeping those whose entry the slabs hold. The caller holds
+    /// the shards' locks.
+    fn derive<'s>(&self, shards: impl IntoIterator<Item = (usize, &'s Shard)>) -> Derived {
+        let mut d = Derived::default();
+        for (si, sh) in shards {
+            let book = d.books.entry(si).or_default();
+            for (id, e) in &sh.entries {
+                *book += Charge::of(e);
+                d.entries += 1;
+                d.owner.insert(*id, si);
+                for p in &e.parents {
+                    d.children.entry(*p).or_default().insert(*id);
+                }
+                if let Some(key) = candidate_key(&e.sig) {
+                    d.by_op_arg0.entry(key).or_default().push(*id);
+                }
+                *d.by_session.entry(e.admitted_session).or_insert(0) += 1;
+            }
+        }
+        for ids in d.by_op_arg0.values_mut() {
+            ids.sort_unstable();
+        }
+        d.leaves = d
+            .owner
+            .keys()
+            .filter(|id| !d.children.contains_key(id))
+            .map(|id| (*id, ()))
+            .collect();
+        d.by_result = self.by_result.snapshot();
+        d.by_result.retain(|_, id| d.owner.contains_key(id));
+        d.result_aliases = self.result_aliases.snapshot();
+        d.result_aliases.retain(|id, _| d.owner.contains_key(id));
+        d.supersets = self.supersets.snapshot();
+        d.supersets.retain(|b, _| d.by_result.contains_key(b));
+        d
+    }
+
+    /// Replace the books and every side index with `d`. The caller holds
+    /// every shard write lock.
+    fn store(&self, d: Derived) {
+        self.books.store(&d);
+        self.leaf_count.store(d.leaves.len(), Ordering::Relaxed);
+        self.nursery.clear();
+        self.owner.store(d.owner);
+        self.children.store(d.children);
+        self.leaves.store(d.leaves);
+        self.by_op_arg0.store(d.by_op_arg0);
+        self.by_session.store(d.by_session);
+        self.by_result.store(d.by_result);
+        self.result_aliases.store(d.result_aliases);
+        self.supersets.store(d.supersets);
     }
 
     /// Repair every quarantined shard and return it to service.
@@ -595,13 +866,11 @@ impl RecyclePool {
     ///    residents and rebuild their exact-match index from the slab;
     /// 3. entries whose lineage chain died (a dropped ancestor anywhere)
     ///    are cascaded out — a child may never outlive its parents;
-    /// 4. the derived indexes (owner, children, evictable leaves,
-    ///    session books, subsumption candidates) are rebuilt from the
-    ///    surviving slabs, and the result/alias/subset maps pruned to
-    ///    surviving ids;
-    /// 5. byte books are recomputed exactly from the survivors (healing
-    ///    drift in either direction), lock poison is cleared and the
-    ///    quarantine bits lowered while the write guards are still held.
+    /// 4. the books and side indexes are replaced by [`Self::derive`]
+    ///    over the surviving slabs — the same derivation
+    ///    [`Self::check_invariants`] compares against — healing drift in
+    ///    either direction; lock poison is cleared and the quarantine
+    ///    bits lowered while the write guards are still held.
     ///
     /// Afterwards [`Self::check_invariants`] holds again (tests assert
     /// it). Dropped entries cost misses, never wrong answers: their
@@ -683,105 +952,21 @@ impl RecyclePool {
                 }
             }
         }
-        // 4. Rebuild the derived indexes from the surviving slabs.
-        self.owner.clear();
-        self.children.clear();
-        self.leaves.clear();
-        self.leaf_count.store(0, Ordering::Relaxed);
-        self.nursery.clear();
-        self.by_session.clear();
-        self.by_op_arg0.clear();
-        let mut leaf_total = 0usize;
-        for (si, g) in guards.iter().enumerate() {
-            for (id, e) in g.entries.iter() {
-                self.owner.insert(*id, si);
-                for p in &e.parents {
-                    self.children.alter(p, |m| {
-                        m.entry(*p).or_default().insert(*id);
-                    });
-                }
-                self.by_session.alter(&e.admitted_session, |m| {
-                    *m.entry(e.admitted_session).or_insert(0) += 1;
-                });
-                if e.sig.kind == ArtifactKind::Result {
-                    if let Some(arg0) = e.sig.first_arg() {
-                        let key = (e.sig.op, arg0.clone());
-                        self.by_op_arg0.alter(&key, |m| {
-                            m.entry(key.clone()).or_default().push(*id);
-                        });
-                    }
-                }
-            }
-        }
-        for g in guards.iter() {
-            for id in g.entries.keys() {
-                if !self.children.contains(id) {
-                    self.leaves.insert(*id, ());
-                    leaf_total += 1;
-                }
-            }
-        }
-        self.leaf_count.store(leaf_total, Ordering::Relaxed);
-        self.by_result.retain(|_, id| resident.contains(id));
-        self.result_aliases.retain(|id, _| resident.contains(id));
-        let mut live_results: FxHashSet<BatId> = FxHashSet::default();
-        self.by_result.for_each(|b, _| {
-            live_results.insert(*b);
-        });
-        self.supersets.retain(|b, _| live_results.contains(b));
-        // 5. Exact byte books from the survivors; un-poison; unquarantine.
-        let mut total_bytes = 0usize;
-        let mut total_entries = 0usize;
-        for (si, g) in guards.iter().enumerate() {
-            let mut raw = 0usize;
-            let mut compressed = 0usize;
-            let mut spilled = 0usize;
-            let mut artifact = 0usize;
-            for e in g.entries.values() {
-                match &e.tier {
-                    crate::tier::TierState::Raw => {
-                        raw += e.bytes;
-                        if e.artifact.is_some() {
-                            artifact += e.bytes;
-                        }
-                    }
-                    crate::tier::TierState::Compressed(_) => compressed += e.bytes,
-                    crate::tier::TierState::Spilled(t) => spilled += t.len as usize,
-                }
-            }
-            let bytes = raw + compressed;
-            self.shard_bytes[si].store(bytes, Ordering::Relaxed);
-            self.tier_books[si].raw.store(raw, Ordering::Relaxed);
-            self.tier_books[si]
-                .compressed
-                .store(compressed, Ordering::Relaxed);
-            self.tier_books[si]
-                .spilled
-                .store(spilled, Ordering::Relaxed);
-            self.tier_books[si]
-                .artifact
-                .store(artifact, Ordering::Relaxed);
-            total_bytes += bytes;
-            total_entries += g.entries.len();
-        }
-        self.total_bytes.store(total_bytes, Ordering::Relaxed);
-        self.total_entries.store(total_entries, Ordering::Relaxed);
+        // 4. Books and side indexes from the survivors.
+        self.store(self.derive(guards.iter().map(|g| &**g).enumerate()));
         // A torn demotion may have been dropped between appending the
         // spill record and wiring the ticket: retire every dropped
         // entry's ticket so the spill file's live-byte book matches the
         // surviving index.
         if let Some(spill) = &self.spill {
             for e in &dropped {
-                if let crate::tier::TierState::Spilled(t) = &e.tier {
+                if let TierState::Spilled(t) = &e.tier {
                     spill.mark_dead(*t);
                 }
             }
         }
         for &si in &broken {
-            self.shards[si].clear_poison();
-            if self.quarantined[si].swap(false, Ordering::AcqRel) {
-                self.quarantined_count.fetch_sub(1, Ordering::Relaxed);
-            }
+            self.lift_quarantine(si);
             self.repaired_total.fetch_add(1, Ordering::Relaxed);
         }
         drop(guards);
@@ -835,11 +1020,6 @@ impl RecyclePool {
         }
         let sh = self.read_shard(shard);
         sh.entries.get(&id).map(f)
-    }
-
-    /// Snapshot clone of one entry.
-    pub fn get_snapshot(&self, id: EntryId) -> Option<PoolEntry> {
-        self.entry(id, |e| e.clone())
     }
 
     /// The entry owning (or aliased to) a result BAT, if any.
@@ -952,20 +1132,9 @@ impl RecyclePool {
             }
         }
         let id = entry.id;
-        let bytes = entry.bytes;
-        let is_artifact = entry.artifact.is_some();
+        let charge = Charge::of(&entry);
         sh.by_sig.insert(entry.sig.clone(), id);
-        // Subsumption candidates are result entries only: an operator-state
-        // artifact is not a tuple superset of anything, so artifact-kind
-        // sigs stay out of the candidate side-map entirely.
-        if entry.sig.kind == ArtifactKind::Result {
-            if let Some(arg0) = entry.sig.first_arg() {
-                let key = (entry.sig.op, arg0.clone());
-                self.by_op_arg0.alter(&key, |m| {
-                    m.entry(key.clone()).or_default().push(id);
-                });
-            }
-        }
+        self.wire_candidate(&entry.sig, id);
         // A fresh entry has no dependents: it enters the evictable-leaf
         // index. Published BEFORE the owner mapping — no other session can
         // wire a child edge onto this entry until its parents resolve via
@@ -1001,16 +1170,7 @@ impl RecyclePool {
         self.by_session.alter(&session, |m| {
             *m.entry(session).or_insert(0) += 1;
         });
-        self.shard_bytes[si].fetch_add(bytes, Ordering::Relaxed);
-        // admissions always enter raw (demotion happens in place later)
-        self.tier_books[si].raw.fetch_add(bytes, Ordering::Relaxed);
-        if is_artifact {
-            self.tier_books[si]
-                .artifact
-                .fetch_add(bytes, Ordering::Relaxed);
-        }
-        self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.total_entries.fetch_add(1, Ordering::Relaxed);
+        self.books.enter(si, &charge);
         Admitted::Inserted(id)
     }
 
@@ -1045,14 +1205,19 @@ impl RecyclePool {
         }
     }
 
-    /// Unwire `id` from the candidate side-map (caller holds a shard lock).
-    /// Artifact-kind sigs were never wired in (see [`Self::insert`]).
-    fn unwire_candidate(&self, sig: &Sig, id: EntryId) {
-        if sig.kind != ArtifactKind::Result {
-            return;
+    /// Wire `id` into the candidate side-map under `sig`'s
+    /// [`candidate_key`] (caller holds a shard lock).
+    fn wire_candidate(&self, sig: &Sig, id: EntryId) {
+        if let Some(key) = candidate_key(sig) {
+            self.by_op_arg0.alter(&key, |m| {
+                m.entry(key.clone()).or_default().push(id);
+            });
         }
-        if let Some(arg0) = sig.first_arg() {
-            let key = (sig.op, arg0.clone());
+    }
+
+    /// Unwire `id` from the candidate side-map (caller holds a shard lock).
+    fn unwire_candidate(&self, sig: &Sig, id: EntryId) {
+        if let Some(key) = candidate_key(sig) {
             self.by_op_arg0.alter(&key, |m| {
                 if let Some(v) = m.get_mut(&key) {
                     v.retain(|e| *e != id);
@@ -1127,37 +1292,13 @@ impl RecyclePool {
                 }
             }
         });
-        self.shard_bytes[si].fetch_sub(entry.bytes, Ordering::Relaxed);
-        match &entry.tier {
-            crate::tier::TierState::Raw => {
-                self.tier_books[si]
-                    .raw
-                    .fetch_sub(entry.bytes, Ordering::Relaxed);
-                if entry.artifact.is_some() {
-                    self.tier_books[si]
-                        .artifact
-                        .fetch_sub(entry.bytes, Ordering::Relaxed);
-                }
-            }
-            crate::tier::TierState::Compressed(_) => {
-                self.tier_books[si]
-                    .compressed
-                    .fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
-            crate::tier::TierState::Spilled(t) => {
-                self.tier_books[si]
-                    .spilled
-                    .fetch_sub(t.len as usize, Ordering::Relaxed);
-                // retire the on-disk record: a dead ticket frees spill
-                // budget immediately (and the block file truncates once
-                // no live records remain)
-                if let Some(spill) = &self.spill {
-                    spill.mark_dead(*t);
-                }
-            }
+        self.books.leave(si, &Charge::of(&entry));
+        // retire the on-disk record: a dead ticket frees spill budget
+        // immediately (and the block file truncates once no live records
+        // remain)
+        if let (TierState::Spilled(t), Some(spill)) = (&entry.tier, &self.spill) {
+            spill.mark_dead(*t);
         }
-        self.total_bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-        self.total_entries.fetch_sub(1, Ordering::Relaxed);
         Some(entry)
     }
 
@@ -1261,12 +1402,6 @@ impl RecyclePool {
         self.nursery.drain(max)
     }
 
-    /// Ids currently recorded in the collector's nursery ring
-    /// (diagnostics).
-    pub fn nursery_len(&self) -> usize {
-        self.nursery.len()
-    }
-
     /// Snapshot of the evictable-leaf index: the ids of every childless
     /// resident entry, in index order. A point-in-time copy — callers
     /// revalidate residency/pins per id, eviction does so at removal.
@@ -1323,7 +1458,7 @@ impl RecyclePool {
 
     /// Attach the spill block file backing the coldest tier. Called once
     /// during construction (before the pool is shared); entries can only
-    /// reach [`crate::tier::TierState::Spilled`] when a file is attached.
+    /// reach [`TierState::Spilled`] when a file is attached.
     pub fn set_spill(&mut self, spill: Option<Arc<crate::tier::SpillFile>>) {
         self.spill = spill;
     }
@@ -1338,24 +1473,14 @@ impl RecyclePool {
     /// `raw + compressed == bytes()` at any quiescent instant; spilled
     /// bytes are off-cap (they count against the spill budget instead).
     pub fn tier_bytes(&self) -> (usize, usize, usize) {
-        let mut raw = 0usize;
-        let mut compressed = 0usize;
-        let mut spilled = 0usize;
-        for b in self.tier_books.iter() {
-            raw += b.raw.load(Ordering::Relaxed);
-            compressed += b.compressed.load(Ordering::Relaxed);
-            spilled += b.spilled.load(Ordering::Relaxed);
-        }
-        (raw, compressed, spilled)
+        let t = self.books.total();
+        (t.raw, t.compressed, t.spilled)
     }
 
     /// Bytes currently charged by operator-state artifact entries (summed
     /// across shards — a subset of the raw book; artifacts never demote).
     pub fn artifact_bytes(&self) -> usize {
-        self.tier_books
-            .iter()
-            .map(|b| b.artifact.load(Ordering::Relaxed))
-            .sum()
+        self.books.total().artifact
     }
 
     /// Demote a raw entry to the in-memory compressed tier, swapping its
@@ -1391,24 +1516,17 @@ impl RecyclePool {
         if e.artifact.is_some() {
             return 0;
         }
-        let old_bytes = e.bytes;
+        let before = Charge::of(e);
         e.result = rbat::Value::Nil;
-        e.tier = crate::tier::TierState::Compressed(blob);
+        e.tier = TierState::Compressed(blob);
         e.bytes = new_bytes;
         // Failpoint: the entry is re-tiered but no book has moved — the
         // most torn state a mid-demotion unwind can leave this shard in.
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.demote.wired");
-        let freed = old_bytes - new_bytes;
-        self.tier_books[si]
-            .raw
-            .fetch_sub(old_bytes, Ordering::Relaxed);
-        self.tier_books[si]
-            .compressed
-            .fetch_add(new_bytes, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_sub(freed, Ordering::Relaxed);
-        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        freed
+        self.books.sub(si, &before);
+        self.books.add(si, &Charge::of(e));
+        before.resident() - new_bytes
     }
 
     /// Demote a compressed entry to the spill tier: the caller already
@@ -1445,24 +1563,18 @@ impl RecyclePool {
             return 0;
         };
         let holds_expected = matches!(&e.tier,
-            crate::tier::TierState::Compressed(b) if Arc::ptr_eq(b, expected));
+            TierState::Compressed(b) if Arc::ptr_eq(b, expected));
         if !holds_expected || e.pin_count() != 0 {
             drop(sh);
             retire(ticket);
             return 0;
         }
-        let old_bytes = e.bytes;
-        e.tier = crate::tier::TierState::Spilled(ticket);
+        let before = Charge::of(e);
+        e.tier = TierState::Spilled(ticket);
         e.bytes = 0;
-        self.tier_books[si]
-            .compressed
-            .fetch_sub(old_bytes, Ordering::Relaxed);
-        self.tier_books[si]
-            .spilled
-            .fetch_add(ticket.len as usize, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_sub(old_bytes, Ordering::Relaxed);
-        self.total_bytes.fetch_sub(old_bytes, Ordering::Relaxed);
-        old_bytes
+        self.books.sub(si, &before);
+        self.books.add(si, &Charge::of(e));
+        before.resident()
     }
 
     /// Promote a demoted entry back to raw after a hit decompressed or
@@ -1484,38 +1596,18 @@ impl RecyclePool {
         let Some(e) = sh.entries.get_mut(&id) else {
             return false;
         };
-        let old_bytes = e.bytes;
-        match &e.tier {
-            crate::tier::TierState::Raw => return false,
-            crate::tier::TierState::Compressed(_) => {
-                self.tier_books[si]
-                    .compressed
-                    .fetch_sub(old_bytes, Ordering::Relaxed);
-            }
-            crate::tier::TierState::Spilled(t) => {
-                self.tier_books[si]
-                    .spilled
-                    .fetch_sub(t.len as usize, Ordering::Relaxed);
-                if let Some(spill) = &self.spill {
-                    spill.mark_dead(*t);
-                }
-            }
+        if e.tier.is_raw() {
+            return false;
         }
+        if let (TierState::Spilled(t), Some(spill)) = (&e.tier, &self.spill) {
+            spill.mark_dead(*t);
+        }
+        let before = Charge::of(e);
         e.result = value;
-        e.tier = crate::tier::TierState::Raw;
+        e.tier = TierState::Raw;
         e.bytes = raw_bytes;
-        self.tier_books[si]
-            .raw
-            .fetch_add(raw_bytes, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_add(raw_bytes, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_sub(old_bytes, Ordering::Relaxed);
-        if raw_bytes >= old_bytes {
-            self.total_bytes
-                .fetch_add(raw_bytes - old_bytes, Ordering::Relaxed);
-        } else {
-            self.total_bytes
-                .fetch_sub(old_bytes - raw_bytes, Ordering::Relaxed);
-        }
+        self.books.sub(si, &before);
+        self.books.add(si, &Charge::of(e));
         true
     }
 
@@ -1682,30 +1774,22 @@ impl RecyclePool {
         s
     }
 
-    /// Check the structural invariant across all shards (acquired
-    /// together, so the view is consistent): signature indexes bijective
-    /// and correctly sharded, owner index exact, parent/child links alive,
-    /// byte and entry counters consistent (`sum(shard_bytes) ==
-    /// total_bytes`), candidate and result indexes live. Test support —
-    /// call on a quiescent pool. Takes the update mutex so the all-shard
-    /// read acquisition cannot interleave with a scoped writer's
-    /// out-of-order lock extension.
+    /// Check the pool's invariants across all shards (acquired together,
+    /// so the view is consistent). Per entry: stored under its own id in
+    /// the shard its signature maps to, indexed by `by_sig` (a
+    /// bijection), parents resident, artifact and tier rules kept, a
+    /// compressed charge equal to its blob size, a spilled entry charging
+    /// no resident bytes. Every book and side index must then equal
+    /// [`Self::derive`] over the slabs — the derivation [`Self::repair`]
+    /// stores. Test support — call on a quiescent pool. Takes the update
+    /// mutex so the all-shard read acquisition cannot interleave with a
+    /// scoped writer's out-of-order lock extension.
     pub fn check_invariants(&self) -> Result<(), String> {
         let _writer = self.lock_update();
         let guards: Vec<RwLockReadGuard<'_, Shard>> =
             (0..self.shards.len()).map(|i| self.read_shard(i)).collect();
-        let mut all_ids: FxHashSet<EntryId> = FxHashSet::default();
-        for g in &guards {
-            all_ids.extend(g.entries.keys().copied());
-        }
-        let mut total_bytes = 0usize;
-        let mut total_entries = 0usize;
+        let d = self.derive(guards.iter().map(|g| &**g).enumerate());
         for (i, g) in guards.iter().enumerate() {
-            let mut shard_sum = 0usize;
-            let mut raw_sum = 0usize;
-            let mut compressed_sum = 0usize;
-            let mut spilled_sum = 0usize;
-            let mut artifact_sum = 0usize;
             for (id, e) in &g.entries {
                 if e.id != *id {
                     return Err(format!("entry {id} stored under wrong key {}", e.id));
@@ -1719,15 +1803,9 @@ impl RecyclePool {
                 if g.by_sig.get(&e.sig).copied() != Some(*id) {
                     return Err(format!("entry {id} missing from its shard's sig index"));
                 }
-                if self.owner.get_clone(id) != Some(i) {
-                    return Err(format!("owner index wrong for entry {id}"));
+                if let Some(p) = e.parents.iter().find(|p| !d.owner.contains_key(p)) {
+                    return Err(format!("entry {id} has dangling parent {p}"));
                 }
-                for p in &e.parents {
-                    if !all_ids.contains(p) {
-                        return Err(format!("entry {id} has dangling parent {p}"));
-                    }
-                }
-                shard_sum += e.bytes;
                 if let Some(a) = &e.artifact {
                     if !e.tier.is_raw() {
                         return Err(format!(
@@ -1742,7 +1820,6 @@ impl RecyclePool {
                             a.kind()
                         ));
                     }
-                    artifact_sum += e.bytes;
                 } else if e.sig.kind != ArtifactKind::Result {
                     return Err(format!(
                         "entry {id} keyed as {:?} artifact but carries none",
@@ -1750,26 +1827,20 @@ impl RecyclePool {
                     ));
                 }
                 match &e.tier {
-                    crate::tier::TierState::Raw => raw_sum += e.bytes,
-                    crate::tier::TierState::Compressed(b) => {
-                        if e.bytes != b.byte_size() {
-                            return Err(format!(
-                                "compressed entry {id} charges {} bytes, blob is {}",
-                                e.bytes,
-                                b.byte_size()
-                            ));
-                        }
-                        compressed_sum += e.bytes;
+                    TierState::Compressed(b) if e.bytes != b.byte_size() => {
+                        return Err(format!(
+                            "compressed entry {id} charges {} bytes, blob is {}",
+                            e.bytes,
+                            b.byte_size()
+                        ));
                     }
-                    crate::tier::TierState::Spilled(t) => {
-                        if e.bytes != 0 {
-                            return Err(format!(
-                                "spilled entry {id} still charges {} resident bytes",
-                                e.bytes
-                            ));
-                        }
-                        spilled_sum += t.len as usize;
+                    TierState::Spilled(_) if e.bytes != 0 => {
+                        return Err(format!(
+                            "spilled entry {id} still charges {} resident bytes",
+                            e.bytes
+                        ));
                     }
+                    _ => {}
                 }
             }
             if g.by_sig.len() != g.entries.len() {
@@ -1779,183 +1850,35 @@ impl RecyclePool {
                     g.entries.len()
                 ));
             }
-            if shard_sum != self.shard_bytes[i].load(Ordering::Relaxed) {
-                return Err(format!(
-                    "shard {i} byte counter {} != actual {shard_sum}",
-                    self.shard_bytes[i].load(Ordering::Relaxed)
-                ));
-            }
-            // per-tier books: raw + compressed must re-derive the shard
-            // total exactly (spilled is off-cap, tracked on its own book)
-            let book = &self.tier_books[i];
-            let (br, bc, bs, ba) = (
-                book.raw.load(Ordering::Relaxed),
-                book.compressed.load(Ordering::Relaxed),
-                book.spilled.load(Ordering::Relaxed),
-                book.artifact.load(Ordering::Relaxed),
-            );
-            if br != raw_sum || bc != compressed_sum || bs != spilled_sum {
-                return Err(format!(
-                    "shard {i} tier books raw={br}/compressed={bc}/spilled={bs} \
-                     != actual raw={raw_sum}/compressed={compressed_sum}/spilled={spilled_sum}"
-                ));
-            }
-            if ba != artifact_sum {
-                return Err(format!(
-                    "shard {i} artifact book {ba} != actual {artifact_sum}"
-                ));
-            }
-            if ba > br {
-                return Err(format!(
-                    "shard {i} artifact book {ba} exceeds raw book {br}"
-                ));
-            }
-            if br + bc != shard_sum {
-                return Err(format!(
-                    "shard {i} tier books raw {br} + compressed {bc} != shard bytes {shard_sum}"
-                ));
-            }
-            total_bytes += shard_sum;
-            total_entries += g.entries.len();
         }
-        if total_bytes != self.bytes() {
-            return Err(format!(
-                "byte counter {} != actual {total_bytes}",
-                self.bytes()
-            ));
+        let books = (0..self.shards.len())
+            .map(|i| (i, self.books.shards[i].load()))
+            .collect();
+        diff("shard book", &books, &d.books)?;
+        let totals = |bytes, entries, leaves| {
+            FxHashMap::from_iter([("bytes", bytes), ("entries", entries), ("leaves", leaves)])
+        };
+        diff(
+            "pool total",
+            &totals(self.bytes(), self.len(), self.leaf_index_size()),
+            &totals(d.bytes(), d.entries, d.leaves.len()),
+        )?;
+        diff("owner index", &self.owner.snapshot(), &d.owner)?;
+        diff("child index", &self.children.snapshot(), &d.children)?;
+        diff("leaf index", &self.leaves.snapshot(), &d.leaves)?;
+        let mut candidates = self.by_op_arg0.snapshot();
+        for ids in candidates.values_mut() {
+            ids.sort_unstable();
         }
-        if total_entries != self.len() {
-            return Err(format!(
-                "entry counter {} != actual {total_entries}",
-                self.len()
-            ));
-        }
-        let mut err: Option<String> = None;
-        self.by_result.for_each(|bat, id| {
-            if err.is_none() && !all_ids.contains(id) {
-                err = Some(format!("result index {bat:?} points at dead entry {id}"));
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        self.children.for_each(|p, cs| {
-            if err.is_none() {
-                if !all_ids.contains(p) {
-                    err = Some(format!("child index keyed by dead entry {p}"));
-                } else if let Some(c) = cs.iter().find(|c| !all_ids.contains(c)) {
-                    err = Some(format!("entry {p} lists dead child {c}"));
-                }
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        // evictable-leaf index exactness: it must equal the brute-force
-        // childless set — every resident entry without dependents listed,
-        // nothing else (pin state is deliberately not part of the index)
-        let mut leaf_listed: FxHashSet<EntryId> = FxHashSet::default();
-        self.leaves.for_each(|id, _| {
-            leaf_listed.insert(*id);
-        });
-        if let Some(id) = leaf_listed.iter().find(|id| !all_ids.contains(id)) {
-            return Err(format!("leaf index lists dead entry {id}"));
-        }
-        if leaf_listed.len() != self.leaf_index_size() {
-            return Err(format!(
-                "leaf counter {} != indexed leaves {}",
-                self.leaf_index_size(),
-                leaf_listed.len()
-            ));
-        }
-        for id in &all_ids {
-            let childless = !self.children.with(id, |c| c.is_some_and(|c| !c.is_empty()));
-            if childless && !leaf_listed.contains(id) {
-                return Err(format!("childless entry {id} missing from leaf index"));
-            }
-            if !childless && leaf_listed.contains(id) {
-                return Err(format!(
-                    "entry {id} has children but sits in the leaf index"
-                ));
-            }
-        }
-        // candidate side-map exactness: every listed id alive under the
-        // right key, every indexable entry listed exactly once
-        let mut expect_keys: FxHashMap<EntryId, (Opcode, ArgSig)> = FxHashMap::default();
-        for g in &guards {
-            for (id, e) in &g.entries {
-                if e.sig.kind != ArtifactKind::Result {
-                    continue; // artifact sigs are never candidate-indexed
-                }
-                if let Some(arg0) = e.sig.first_arg() {
-                    expect_keys.insert(*id, (e.sig.op, arg0.clone()));
-                }
-            }
-        }
-        let mut listed = 0usize;
-        self.by_op_arg0.for_each(|key, ids| {
-            for id in ids {
-                listed += 1;
-                if err.is_none() && expect_keys.get(id) != Some(key) {
-                    err = Some(format!(
-                        "candidate index lists entry {id} under {key:?}, expected {:?}",
-                        expect_keys.get(id)
-                    ));
-                }
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        if listed != expect_keys.len() {
-            return Err(format!(
-                "candidate index lists {listed} ids, expected {}",
-                expect_keys.len()
-            ));
-        }
-        // per-session resident books: by_session must equal a fresh count
-        // over the resident entries (budget fairness reads off it)
-        let mut session_counts: FxHashMap<u64, u64> = FxHashMap::default();
-        for g in &guards {
-            for e in g.entries.values() {
-                *session_counts.entry(e.admitted_session).or_insert(0) += 1;
-            }
-        }
-        let mut listed_sessions = 0usize;
-        self.by_session.for_each(|s, n| {
-            listed_sessions += 1;
-            if err.is_none() && session_counts.get(s).copied().unwrap_or(0) != *n {
-                err = Some(format!(
-                    "session {s} resident book {n} != actual {}",
-                    session_counts.get(s).copied().unwrap_or(0)
-                ));
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        if listed_sessions != session_counts.len() {
-            return Err(format!(
-                "session books list {listed_sessions} sessions, expected {}",
-                session_counts.len()
-            ));
-        }
-        let mut owner_count = 0usize;
-        self.owner.for_each(|id, _| {
-            if err.is_none() && !all_ids.contains(id) {
-                err = Some(format!("owner index lists dead entry {id}"));
-            }
-            owner_count += 1;
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        if owner_count != total_entries {
-            return Err(format!(
-                "owner index size {owner_count} != entries {total_entries}"
-            ));
-        }
-        Ok(())
+        diff("candidate index", &candidates, &d.by_op_arg0)?;
+        diff("session book", &self.by_session.snapshot(), &d.by_session)?;
+        diff("result index", &self.by_result.snapshot(), &d.by_result)?;
+        diff(
+            "alias index",
+            &self.result_aliases.snapshot(),
+            &d.result_aliases,
+        )?;
+        diff("subset index", &self.supersets.snapshot(), &d.supersets)
     }
 }
 
@@ -1976,10 +1899,6 @@ pub struct PoolScopedView<'a> {
     _writer: MutexGuard<'a, ()>,
     guards: Vec<Option<RwLockWriteGuard<'a, Shard>>>,
 }
-
-/// The stop-the-world view is retired as a distinct type: it is now just
-/// a [`PoolScopedView`] over every shard (see [`RecyclePool::write_view`]).
-pub type PoolWriteView<'a> = PoolScopedView<'a>;
 
 impl PoolScopedView<'_> {
     fn shard_idx(&self, id: EntryId) -> Option<usize> {
@@ -2062,9 +1981,8 @@ impl PoolScopedView<'_> {
         removed
     }
 
-    /// Update an entry's charged bytes, keeping the per-shard and total
-    /// byte counters exact at every step (no deferred recount: the
-    /// `sum(shard_bytes) == total_bytes` invariant holds throughout).
+    /// Update an entry's charged bytes, moving its shard's book and the
+    /// pool totals in the same step (no deferred recount).
     pub fn set_bytes(&mut self, id: EntryId, new_bytes: usize) {
         let Some(i) = self.shard_idx(id) else { return };
         self.ensure_shard(i);
@@ -2072,32 +1990,18 @@ impl PoolScopedView<'_> {
         let Some(e) = self.guards[i].as_mut().and_then(|g| g.entries.get_mut(&id)) else {
             return;
         };
-        // the tier book matching the entry's residency moves in lockstep
-        // with the shard total; spilled entries charge nothing resident
-        // (their book tracks the on-disk record length), so a resize is
-        // meaningless for them — propagation promotes or drops demoted
-        // entries before rewriting results
-        let book = match &e.tier {
-            crate::tier::TierState::Raw => &pool.tier_books[i].raw,
-            crate::tier::TierState::Compressed(_) => &pool.tier_books[i].compressed,
-            crate::tier::TierState::Spilled(_) => {
-                debug_assert!(false, "set_bytes on a spilled entry");
-                return;
-            }
-        };
-        let old = e.bytes;
-        e.bytes = new_bytes;
-        if new_bytes >= old {
-            let d = new_bytes - old;
-            pool.shard_bytes[i].fetch_add(d, Ordering::Relaxed);
-            book.fetch_add(d, Ordering::Relaxed);
-            pool.total_bytes.fetch_add(d, Ordering::Relaxed);
-        } else {
-            let d = old - new_bytes;
-            pool.shard_bytes[i].fetch_sub(d, Ordering::Relaxed);
-            book.fetch_sub(d, Ordering::Relaxed);
-            pool.total_bytes.fetch_sub(d, Ordering::Relaxed);
+        // spilled entries charge nothing resident (their book tracks the
+        // on-disk record length), so a resize is meaningless for them —
+        // propagation promotes or drops demoted entries before rewriting
+        // results
+        if e.tier.is_spilled() {
+            debug_assert!(false, "set_bytes on a spilled entry");
+            return;
         }
+        let before = Charge::of(e);
+        e.bytes = new_bytes;
+        pool.books.sub(i, &before);
+        pool.books.add(i, &Charge::of(e));
     }
 
     /// Re-key an entry's signature and result identity after delta
@@ -2150,60 +2054,19 @@ impl PoolScopedView<'_> {
                     .as_mut()
                     .and_then(|g| g.entries.remove(&id));
                 if let Some(e) = moved {
-                    pool.shard_bytes[old_idx].fetch_sub(e.bytes, Ordering::Relaxed);
-                    pool.shard_bytes[new_idx].fetch_add(e.bytes, Ordering::Relaxed);
-                    // the entry's tier book (and spilled record length)
-                    // migrate with it
-                    match &e.tier {
-                        crate::tier::TierState::Raw => {
-                            pool.tier_books[old_idx]
-                                .raw
-                                .fetch_sub(e.bytes, Ordering::Relaxed);
-                            pool.tier_books[new_idx]
-                                .raw
-                                .fetch_add(e.bytes, Ordering::Relaxed);
-                            if e.artifact.is_some() {
-                                pool.tier_books[old_idx]
-                                    .artifact
-                                    .fetch_sub(e.bytes, Ordering::Relaxed);
-                                pool.tier_books[new_idx]
-                                    .artifact
-                                    .fetch_add(e.bytes, Ordering::Relaxed);
-                            }
-                        }
-                        crate::tier::TierState::Compressed(_) => {
-                            pool.tier_books[old_idx]
-                                .compressed
-                                .fetch_sub(e.bytes, Ordering::Relaxed);
-                            pool.tier_books[new_idx]
-                                .compressed
-                                .fetch_add(e.bytes, Ordering::Relaxed);
-                        }
-                        crate::tier::TierState::Spilled(t) => {
-                            pool.tier_books[old_idx]
-                                .spilled
-                                .fetch_sub(t.len as usize, Ordering::Relaxed);
-                            pool.tier_books[new_idx]
-                                .spilled
-                                .fetch_add(t.len as usize, Ordering::Relaxed);
-                        }
-                    }
+                    // the entry's charge migrates with it
+                    let charge = Charge::of(&e);
+                    pool.books.sub(old_idx, &charge);
+                    pool.books.add(new_idx, &charge);
                     if let Some(g) = self.guards[new_idx].as_mut() {
                         g.entries.insert(id, e);
                     }
                     pool.owner.insert(id, new_idx);
                 }
             }
+            pool.wire_candidate(&new_sig, id);
             if let Some(sh) = self.guards[new_idx].as_mut() {
-                sh.by_sig.insert(new_sig.clone(), id);
-            }
-            if new_sig.kind == ArtifactKind::Result {
-                if let Some(arg0) = new_sig.first_arg() {
-                    let key = (new_sig.op, arg0.clone());
-                    pool.by_op_arg0.alter(&key, |m| {
-                        m.entry(key.clone()).or_default().push(id);
-                    });
-                }
+                sh.by_sig.insert(new_sig, id);
             }
         }
         if old_result != new_result {
@@ -2223,20 +2086,24 @@ impl PoolScopedView<'_> {
 }
 
 impl Drop for PoolScopedView<'_> {
-    /// Debug builds verify the byte books of every held shard on release:
-    /// the per-shard counter must equal the sum of resident entry bytes
-    /// after any sequence of rekeys, removals and in-place rewrites.
+    /// Debug builds verify the books of every held shard on release: after
+    /// any sequence of rekeys, removals and in-place rewrites they must
+    /// equal [`RecyclePool::derive`] over the held slabs.
     fn drop(&mut self) {
-        if cfg!(debug_assertions) {
-            for (i, g) in self.guards.iter().enumerate() {
-                if let Some(g) = g {
-                    let actual: usize = g.entries.values().map(|e| e.bytes).sum();
-                    let counted = self.pool.shard_bytes[i].load(Ordering::Relaxed);
-                    debug_assert_eq!(
-                        actual, counted,
-                        "shard {i} byte counter drifted from resident bytes"
-                    );
-                }
+        if cfg!(debug_assertions) && !std::thread::panicking() {
+            let held = self
+                .guards
+                .iter()
+                .enumerate()
+                .filter_map(|(i, g)| Some((i, &**g.as_ref()?)));
+            let d = self.pool.derive(held);
+            let books = d
+                .books
+                .keys()
+                .map(|&i| (i, self.pool.books.shards[i].load()))
+                .collect();
+            if let Err(e) = diff("shard book", &books, &d.books) {
+                panic!("scoped view left drifted books: {e}");
             }
         }
     }
@@ -2642,6 +2509,67 @@ mod tests {
         let total: usize = (0..pool.shard_count()).map(|i| pool.shard_bytes(i)).sum();
         assert_eq!(total, pool.bytes(), "sum(shard_bytes) == total_bytes");
         pool.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn check_detects_and_repair_heals_every_derived_fact() {
+        // Each tamper drifts one stored fact away from the slabs. The
+        // check must see it, and repair must store the derivation back.
+        type Tamper = fn(&RecyclePool, EntryId, EntryId);
+        let tampers: [(&str, Tamper); 10] = [
+            ("shard book", |p, _, _| {
+                p.books.add(
+                    0,
+                    &Charge {
+                        spilled: 1,
+                        ..Charge::default()
+                    },
+                )
+            }),
+            ("entry total", |p, _, _| {
+                p.books.entries.fetch_add(1, Ordering::Relaxed);
+            }),
+            ("owner", |p, _, _| {
+                p.owner.insert(1 << 40, 0);
+            }),
+            ("children", |p, _, leaf| {
+                p.children.insert(leaf, FxHashSet::from_iter([1 << 40]));
+            }),
+            ("leaves", |p, _, leaf| p.leaf_remove(&leaf)),
+            ("candidates", |p, parent, _| {
+                p.wire_candidate(&Sig::of(Opcode::Select, &[Value::Int(-1)]), parent)
+            }),
+            ("sessions", |p, _, _| {
+                p.by_session.insert(77, 1);
+            }),
+            ("results", |p, _, _| {
+                p.by_result.insert(BatId(4242), 1 << 40);
+            }),
+            ("aliases", |p, _, _| {
+                p.result_aliases.insert(1 << 40, vec![BatId(4243)]);
+            }),
+            ("subsets", |p, _, _| {
+                p.add_subset_edge(BatId(4244), BatId(4245))
+            }),
+        ];
+        for (what, tamper) in tampers {
+            let pool = RecyclePool::with_shards(4);
+            let parent = pool.insert(mk_entry(&pool, vec![], 1), None).id();
+            let leaf = pool.insert(mk_entry(&pool, vec![parent], 2), None).id();
+            pool.check_invariants().unwrap();
+            tamper(&pool, parent, leaf);
+            assert!(
+                pool.check_invariants().is_err(),
+                "{what} drift must be detected"
+            );
+            // quarantine a shard so repair runs, as after a torn writer
+            pool.note_poison(0);
+            assert_eq!(pool.repair().entries_dropped, 0, "{what}");
+            pool.check_invariants()
+                .unwrap_or_else(|e| panic!("{what} not healed by repair: {e}"));
+            assert_eq!(pool.len(), 2);
+            assert_eq!(pool.resident_of_session(77), 0, "{what}");
+        }
     }
 
     #[test]

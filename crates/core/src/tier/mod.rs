@@ -14,10 +14,10 @@
 //! - [`spill`] is the append-only block file plus in-memory index that
 //!   backs the coldest tier.
 //! - [`TierState`] is the per-entry residency marker carried by
-//!   `PoolEntry`; the pool's sharded accounting keeps one byte book per
-//!   tier so `check_invariants` can prove
-//!   `raw + compressed == shard bytes` at any instant (spilled bytes are
-//!   tracked separately and do not count against the memory cap).
+//!   `PoolEntry`; the pool books each entry's bytes under its tier
+//!   (`pool::Charge::of`), so a shard's resident bytes are its raw plus
+//!   compressed charge (spilled bytes are tracked separately and do not
+//!   count against the memory cap).
 //!
 //! The background collector drives demotions generationally: minor
 //! rounds compress nursery-cold entries one rung before the evict path
@@ -80,24 +80,4 @@ impl TierState {
             TierState::Spilled(_) => "spilled",
         }
     }
-}
-
-/// Per-shard byte book split by tier, kept next to the existing
-/// `shard_bytes` totals. Invariant (checked by `check_invariants`):
-/// `raw + compressed == shard_bytes` for every shard — spilled bytes are
-/// off-cap and tracked against the spill budget instead, so the book
-/// records them for observability only.
-#[derive(Debug, Default)]
-pub struct TierBook {
-    /// Bytes charged by raw entries in this shard.
-    pub raw: std::sync::atomic::AtomicUsize,
-    /// Bytes charged by compressed blobs in this shard.
-    pub compressed: std::sync::atomic::AtomicUsize,
-    /// Bytes of spilled records owned by entries in this shard (off-cap).
-    pub spilled: std::sync::atomic::AtomicUsize,
-    /// Bytes charged by operator-state artifact entries in this shard —
-    /// a *subset* of `raw` (artifacts are evict-only, never demoted), kept
-    /// so `check_invariants` and quarantine repair can prove a torn
-    /// build-side admission never leaks budget.
-    pub artifact: std::sync::atomic::AtomicUsize,
 }

@@ -117,6 +117,13 @@ fn insert_panic_quarantines_shard_and_repair_restores_service() {
     assert!(matches!(err, Error::Degraded(_)), "{err:?}");
     assert!(err.to_string().contains("quarantined"), "{err}");
 
+    // The torn insert must be visible before repair: check and repair
+    // share one derivation, so a blind spot there would hide from both.
+    assert!(
+        db.pool().check_invariants().is_err(),
+        "a torn insert must fail the invariant check before repair"
+    );
+
     // Repair under the maintenance guard: torn entries dropped, byte
     // books recomputed exactly (check_invariants recounts bytes and
     // entries from the slabs and compares against the atomics).

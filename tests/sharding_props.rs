@@ -107,26 +107,65 @@ fn shard_placement_is_uniform_ish() {
     }
 }
 
-/// Byte conservation across every structural mutation: after any sequence
-/// of inserts, removals, evictions and rekeys (including cross-shard
-/// migrations under a scoped view), `sum(shard_bytes) == total_bytes ==
-/// actual resident bytes`. Rekey used to paper over per-shard drift with a
-/// deferred full recount; the books must now be exact at every step.
+/// Byte conservation across every book-moving operation: after any
+/// sequence of inserts (result and operator-state artifact entries),
+/// removals, evictions, rekeys with resizes (including cross-shard
+/// migrations under a scoped view), compressions, spills and promotions,
+/// `sum(shard_bytes) == total_bytes == raw + compressed`, and the books
+/// and side indexes equal their derivation from the slabs. Rekey used to
+/// paper over per-shard drift with a deferred full recount; the books
+/// must now be exact at every step.
 mod bytes_conservation {
     use super::*;
+    use recycler::entry::Artifact;
+    use recycler::signature::{ArgSig, ArtifactKind};
+    use recycler::tier::{CompressedBat, SpillFile, TierState};
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
     use std::time::Duration;
 
-    fn mk(pool: &RecyclePool, tag: i64, bytes: usize) -> recycler::PoolEntry {
+    fn small_bat(tag: i64) -> Arc<Bat> {
+        Arc::new(Bat::from_tail(Column::from_ints(
+            (0..16).map(|i| tag * 16 + i).collect(),
+        )))
+    }
+
+    fn artifact_sig(tag: i64) -> Sig {
+        Sig::artifact(
+            ArtifactKind::SortedRun,
+            Opcode::Sort,
+            vec![ArgSig::Scalar(Value::Int(tag))],
+        )
+    }
+
+    /// A raw result entry holding a small BAT, or (`artifact`) a raw
+    /// sorted-run artifact over one.
+    fn mk(pool: &RecyclePool, tag: i64, bytes: usize, artifact: bool) -> recycler::PoolEntry {
+        let bat = small_bat(tag);
+        let (sig, result, result_id, artifact) = if artifact {
+            let run = rbat::ops::sort_build(&bat, true).expect("sort build");
+            (
+                artifact_sig(tag),
+                Value::Nil,
+                None,
+                Some(Artifact::SortedRun(Arc::new(run))),
+            )
+        } else {
+            (
+                Sig::of(Opcode::Select, &[Value::Int(tag)]),
+                Value::Bat(Arc::clone(&bat)),
+                Some(bat.id()),
+                None,
+            )
+        };
         recycler::PoolEntry {
             id: pool.alloc_id(),
-            sig: Sig::of(Opcode::Select, &[Value::Int(tag)]),
+            sig,
             args: vec![Value::Int(tag)],
-            result: Value::Int(tag),
-            result_id: None,
-            artifact: None,
-            tier: recycler::tier::TierState::Raw,
+            result,
+            result_id,
+            artifact,
+            tier: TierState::Raw,
             bytes,
             cpu: Duration::from_micros(1),
             family: "select",
@@ -155,42 +194,102 @@ mod bytes_conservation {
             pool.bytes(),
             step
         );
+        // the tier and artifact books against a recount of the entries
+        let (mut raw, mut compressed, mut spilled, mut artifact) = (0, 0, 0, 0);
+        for e in pool.snapshot_entries() {
+            match &e.tier {
+                TierState::Raw => raw += e.bytes,
+                TierState::Compressed(_) => compressed += e.bytes,
+                TierState::Spilled(t) => spilled += t.len as usize,
+            }
+            if e.artifact.is_some() {
+                artifact += e.bytes;
+            }
+        }
+        prop_assert!(
+            pool.tier_bytes() == (raw, compressed, spilled),
+            "tier books {:?} != recount {:?} after {}",
+            pool.tier_bytes(),
+            (raw, compressed, spilled),
+            step
+        );
+        prop_assert!(
+            pool.artifact_bytes() == artifact,
+            "artifact book {} != recount {} after {}",
+            pool.artifact_bytes(),
+            artifact,
+            step
+        );
+        prop_assert!(
+            raw + compressed == pool.bytes(),
+            "raw {} + compressed {} != total_bytes {} after {}",
+            raw,
+            compressed,
+            pool.bytes(),
+            step
+        );
         if let Err(e) = pool.check_invariants() {
             return Err(proptest::TestCaseError::fail(format!("after {step}: {e}")));
         }
         Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// A per-case spill directory, removed when the case ends (pass or
+    /// fail).
+    struct ScratchDir(std::path::PathBuf);
 
+    impl ScratchDir {
+        fn new() -> ScratchDir {
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            ScratchDir(std::env::temp_dir().join(format!(
+                "sharding-props-spill-{}-{}",
+                std::process::id(),
+                CASE.fetch_add(1, Ordering::Relaxed)
+            )))
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    // Default case count (64), or `PROPTEST_CASES` when set — CI's
+    // release leg runs it at 1024.
+    proptest! {
         #[test]
         fn bytes_conserved_under_insert_remove_evict_rekey(
-            ops in prop::collection::vec((0u8..4, 0i64..64, 1usize..4000), 1..24),
+            ops in prop::collection::vec((0u8..8, 0i64..64, 1usize..4000), 1..32),
         ) {
-            let pool = RecyclePool::with_shards(8);
+            let dir = ScratchDir::new();
+            let spill = Arc::new(SpillFile::create(&dir.0, 1 << 20).expect("spill file"));
+            let mut pool = RecyclePool::with_shards(8);
+            pool.set_spill(Some(Arc::clone(&spill)));
             let mut live: Vec<recycler::EntryId> = Vec::new();
             let mut next_tag = 1000i64;
             for (op, tag, bytes) in ops {
+                // the entry a tier or rekey step acts on
+                let pick = (!live.is_empty()).then(|| live[tag as usize % live.len()]);
                 match op {
-                    // insert
-                    0 => {
+                    // insert a result (0) or an artifact (1) entry
+                    0 | 1 => {
                         if let recycler::Admitted::Inserted(id) =
-                            pool.insert(mk(&pool, tag, bytes), None)
+                            pool.insert(mk(&pool, tag, bytes, op == 1), None)
                         {
                             live.push(id);
                         }
                         conserved(&pool, "insert")?;
                     }
                     // remove
-                    1 => {
+                    2 => {
                         if let Some(id) = live.pop() {
                             pool.remove(id);
                         }
                         conserved(&pool, "remove")?;
                     }
                     // evict
-                    2 => {
+                    3 => {
                         if let Some(&id) = live.first() {
                             if pool.remove_if_evictable(id).is_some() {
                                 live.remove(0);
@@ -198,31 +297,78 @@ mod bytes_conservation {
                         }
                         conserved(&pool, "evict")?;
                     }
-                    // rekey (+ resize) under a scoped view — possibly a
-                    // cross-shard migration
-                    _ => {
-                        if let Some(&id) = live.last() {
+                    // rekey (+ resize of a raw entry) under a scoped view
+                    // — possibly a cross-shard migration of any tier
+                    4 => {
+                        if let Some(id) = pick {
                             next_tag += 1;
-                            let old_sig = pool.entry(id, |e| e.sig.clone()).expect("live");
-                            let new_sig = Sig::of(Opcode::Select, &[Value::Int(next_tag)]);
+                            let (old_sig, old_result, raw) = pool
+                                .entry(id, |e| (e.sig.clone(), e.result_id, e.tier.is_raw()))
+                                .expect("live");
+                            let new_sig = if old_sig.kind == ArtifactKind::Result {
+                                Sig::of(Opcode::Select, &[Value::Int(next_tag)])
+                            } else {
+                                artifact_sig(next_tag)
+                            };
                             let shard = pool.shard_of(&old_sig);
                             let mut view = pool.scoped_view(&[shard]);
                             if let Some(e) = view.get_mut(id) {
                                 e.sig = new_sig;
                             }
-                            view.set_bytes(id, bytes);
-                            view.rekey(id, &old_sig, None);
+                            // propagation only resizes raw entries
+                            if raw {
+                                view.set_bytes(id, bytes);
+                            }
+                            view.rekey(id, &old_sig, old_result);
                             drop(view);
                             conserved(&pool, "rekey")?;
                         }
                     }
+                    // compress a raw entry in place (artifacts and blobs
+                    // that would not shrink the charge are refused)
+                    5 => {
+                        if let Some(id) = pick {
+                            let bat = pool
+                                .entry(id, |e| e.result.as_bat().cloned())
+                                .flatten()
+                                .unwrap_or_else(|| small_bat(tag));
+                            pool.demote_compress(id, Arc::new(CompressedBat::compress(&bat)));
+                            conserved(&pool, "demote_compress")?;
+                        }
+                    }
+                    // spill a compressed entry
+                    6 => {
+                        let blob = pick.and_then(|id| {
+                            pool.entry(id, |e| match &e.tier {
+                                TierState::Compressed(b) => Some(Arc::clone(b)),
+                                _ => None,
+                            })
+                            .flatten()
+                            .map(|b| (id, b))
+                        });
+                        if let Some((id, blob)) = blob {
+                            let ticket = spill.append(blob.as_bytes()).expect("spill append");
+                            pool.demote_spill(id, &blob, ticket);
+                            conserved(&pool, "demote_spill")?;
+                        }
+                    }
+                    // promote a demoted entry back to raw
+                    _ => {
+                        if let Some(id) = pick {
+                            pool.promote(id, Value::Bat(small_bat(tag)), bytes);
+                            conserved(&pool, "promote")?;
+                        }
+                    }
                 }
             }
-            // drain everything: the books must return to zero
+            // drain everything: the books must return to zero and every
+            // spill record must be retired
             for id in live {
                 pool.remove(id);
             }
             prop_assert!(pool.bytes() == 0, "drained pool must hold zero bytes");
+            prop_assert!(pool.tier_bytes() == (0, 0, 0), "drained tier books must be zero");
+            prop_assert!(spill.live_bytes() == 0, "drained pool must retire every spill record");
             conserved(&pool, "drain")?;
         }
     }

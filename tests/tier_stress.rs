@@ -227,9 +227,16 @@ fn demotion_panic_quarantines_and_repair_restores_exact_tier_books() {
         "the mid-demotion panic must quarantine the torn shard"
     );
 
+    // The torn books must be visible before repair: check and repair
+    // share one derivation, so a blind spot there would hide from both.
+    assert!(
+        db.pool().check_invariants().is_err(),
+        "a torn demotion must fail the invariant check before repair"
+    );
+
     // Repair drops the torn entry and recomputes every book from the
     // survivors; check_invariants then re-derives the tier books from
-    // the slabs and compares — the satellite's acceptance gate.
+    // the slabs and compares.
     let report = db.maintenance().repair_quarantined();
     assert!(!report.shards_repaired.is_empty(), "{report:?}");
     assert!(!db.pool().has_quarantined());
